@@ -11,119 +11,383 @@ namespace mdqa::datalog {
 
 namespace {
 
-// A pending TGD trigger: the body homomorphism restricted to the frontier
-// (head) variables, canonically ordered so triggers dedup per round.
-struct Trigger {
-  std::vector<Term> frontier_bindings;  // parallel to rule's frontier vars
+// A head atom compiled against its rule's frontier: position p takes the
+// trigger's frontier binding `from[p]`, or the term `fixed[p]` when
+// `from[p]` is negative.
+struct HeadTemplate {
+  uint32_t predicate = 0;
+  std::vector<int32_t> from;
+  std::vector<Term> fixed;
 
-  friend bool operator==(const Trigger& a, const Trigger& b) {
-    return a.frontier_bindings == b.frontier_bindings;
-  }
-};
-
-struct TriggerHash {
-  size_t operator()(const Trigger& t) const {
-    size_t seed = t.frontier_bindings.size();
-    for (Term x : t.frontier_bindings) HashCombine(&seed, TermHash{}(x));
-    return seed;
-  }
-};
-
-// An on_match callback that records the frontier projection of each body
-// homomorphism into `*set`.
-std::function<bool(const Subst&)> MakeCollector(
-    const std::vector<uint32_t>& frontier,
-    std::unordered_set<Trigger, TriggerHash>* set) {
-  return [&frontier, set](const Subst& subst) {
-    Trigger t;
-    t.frontier_bindings.reserve(frontier.size());
-    for (uint32_t v : frontier) {
-      t.frontier_bindings.push_back(Resolve(subst, Term::Variable(v)));
+  // Writes the ground head row of the trigger `frontier` into `*row`.
+  void Fill(const Term* frontier, std::vector<Term>* row) const {
+    row->resize(from.size());
+    for (size_t p = 0; p < from.size(); ++p) {
+      (*row)[p] = from[p] >= 0 ? frontier[from[p]] : fixed[p];
     }
-    set->insert(std::move(t));
-    return true;
-  };
+  }
+};
+
+// Per-rule structure compiled once per Run/Extend call.
+struct CompiledRule {
+  const Rule* rule = nullptr;
+  std::vector<uint32_t> frontier;
+  std::vector<uint32_t> existential;
+  // One template per head atom when the rule has no existential
+  // variables (every head atom is ground once the frontier is bound);
+  // empty otherwise.
+  std::vector<HeadTemplate> ground_head;
+  // Semi-oblivious mode: the frontier bindings that already fired,
+  // across rounds (full passes would otherwise refire them forever).
+  TupleSet fired{0};
+};
+
+CompiledRule CompileRule(const Rule& rule) {
+  CompiledRule cr;
+  cr.rule = &rule;
+  cr.frontier = rule.FrontierVariables();
+  cr.existential = rule.ExistentialVariables();
+  cr.fired = TupleSet(cr.frontier.size());
+  if (!cr.existential.empty()) return cr;
+  for (const Atom& atom : rule.head) {
+    HeadTemplate h;
+    h.predicate = atom.predicate;
+    h.from.assign(atom.terms.size(), -1);
+    h.fixed.assign(atom.terms.size(), Term());
+    for (size_t p = 0; p < atom.terms.size(); ++p) {
+      const Term t = atom.terms[p];
+      if (t.IsGround()) {
+        h.fixed[p] = t;
+        continue;
+      }
+      // No existentials: every head variable is a frontier variable.
+      const auto it =
+          std::find(cr.frontier.begin(), cr.frontier.end(), t.id());
+      h.from[p] = static_cast<int32_t>(it - cr.frontier.begin());
+    }
+    cr.ground_head.push_back(std::move(h));
+  }
+  return cr;
 }
 
-// Collects the triggers of one enumeration pass (one delta pass or one
-// full pass) into `*out`.
-//
-// Serial path (`pool == nullptr`, pivot table missing, or fewer candidate
-// rows than `min_parallel_seeds`): a single Enumerate on `eval` — exactly
-// the legacy evaluation.
-//
-// Parallel path: the pivot atom's in-window rows are strided across
-// shards run on `pool`. Each shard grounds the pivot atom against its
-// rows (MatchAtom) and enumerates the *full* body under the same windows
-// with that ground seed, so every homomorphism it finds has the pivot
-// bound to exactly that row; the union of the shard trigger sets is
-// therefore the serial trigger set. The instance is read-only throughout
-// and the budget's counters are atomic, so shards share both safely. A
-// counter trip can land on any shard — the first non-OK status in shard
-// order is returned, and the merged set is then a subset of the serial
-// one (sound: a truncated chase is an under-approximation either way).
-Status CollectPassTriggers(const Instance& instance, const Rule& rule,
-                           const std::vector<uint32_t>& frontier,
-                           const std::vector<AtomLevelWindow>& windows,
-                           size_t pivot, const CqEvaluator& eval,
-                           ThreadPool* pool, uint64_t min_parallel_seeds,
-                           ExecutionBudget* budget,
-                           std::unordered_set<Trigger, TriggerHash>* out) {
-  auto serial = [&]() {
-    return eval.Enumerate(rule.body, rule.negated, rule.comparisons, Subst{},
-                          windows, MakeCollector(frontier, out));
-  };
-  if (pool == nullptr || rule.body.empty()) return serial();
-  const Atom& pivot_atom = rule.body[pivot];
-  const FactTable* table = instance.Table(pivot_atom.predicate);
-  if (table == nullptr) return serial();  // empty body relation: no matches
+// The partition pivot of a parallel full pass: the body atom with the
+// largest table (most seeds, so the cheapest residual join per seed).
+size_t LargestBodyAtom(const Instance& instance, const Rule& rule) {
+  size_t pivot = 0;
+  uint32_t best = 0;
+  for (size_t j = 0; j < rule.body.size(); ++j) {
+    const FactTable* t = instance.Table(rule.body[j].predicate);
+    const uint32_t sz = t != nullptr ? t->size() : 0;
+    if (sz > best) {
+      best = sz;
+      pivot = j;
+    }
+  }
+  return pivot;
+}
 
-  uint32_t min_level = 0;
-  uint32_t max_level = std::numeric_limits<uint32_t>::max();
-  if (!windows.empty()) {
-    min_level = windows[pivot].min_level;
-    max_level = windows[pivot].max_level;
-  }
-  std::vector<uint32_t> seeds;
-  seeds.reserve(table->size());
-  for (uint32_t r = 0; r < table->size(); ++r) {
-    const uint32_t lvl = table->Level(r);
-    if (lvl >= min_level && lvl <= max_level) seeds.push_back(r);
-  }
-  if (seeds.size() < std::max<uint64_t>(min_parallel_seeds, 1)) {
-    return serial();
+// The state of one Run or Extend call — stats, the first interruption,
+// the running fact count — and the collect-and-apply step both drive
+// once per rule and round.
+class ChaseDriver {
+ public:
+  ChaseDriver(Instance* instance, const ChaseOptions& options,
+              ChaseStats* stats)
+      : instance_(instance),
+        options_(options),
+        budget_(options.budget),
+        stats_(stats) {}
+
+  bool interrupted() const { return !interrupt_.ok(); }
+  const Status& interrupt() const { return interrupt_; }
+
+  // Routes a budget trip into the interrupt; returns non-OK only for hard
+  // (non-truncation) faults, e.g. an injected kInternal.
+  Status Absorb(Status s) {
+    if (s.ok() || interrupted()) return Status::Ok();
+    if (ExecutionBudget::IsTruncation(s)) {
+      const ChaseStop reason = s.code() == StatusCode::kCancelled
+                                   ? ChaseStop::kCancelled
+                                   : ChaseStop::kBudget;
+      NoteInterrupt(std::move(s), reason);
+      return Status::Ok();
+    }
+    return s;
   }
 
-  // A few shards per worker so uneven seed costs still balance.
-  const size_t shards = std::min(seeds.size(), pool->size() * 4);
-  std::vector<std::unordered_set<Trigger, TriggerHash>> local(shards);
-  std::vector<Status> shard_status(shards, Status::Ok());
-  pool->ParallelFor(shards, [&](size_t s) {
-    CqEvaluator shard_eval(instance, nullptr, budget);
-    auto collect = MakeCollector(frontier, &local[s]);
-    Subst subst;
-    std::vector<uint32_t> trail;
-    for (size_t k = s; k < seeds.size(); k += shards) {
-      subst.clear();
-      trail.clear();
-      if (!MatchAtom(pivot_atom, table->Row(seeds[k]), &subst, &trail)) {
-        continue;  // pivot constants don't match this row
+  // One rule in one round at `level`: collects the rule's triggers — one
+  // full pass, or one semi-naive pass per body atom d (atom d restricted
+  // to the previous round's facts, atoms before d to strictly older
+  // ones) — then applies them in canonical order. A non-null
+  // `delta_preds` skips the passes whose pivot predicate is not in it
+  // (their window is empty). Every new fact sets `*changed` and, when
+  // `added` is non-null, records its predicate there.
+  Status Step(CompiledRule* cr, uint32_t level, bool full_pass,
+              const std::unordered_set<uint32_t>* delta_preds,
+              std::unordered_set<uint32_t>* added, bool* changed) {
+    const Rule& rule = *cr->rule;
+    TupleSet triggers(cr->frontier.size());
+    if (full_pass) {
+      const size_t pivot = options_.pool != nullptr
+                               ? LargestBodyAtom(*instance_, rule)
+                               : 0;
+      MDQA_RETURN_IF_ERROR(Absorb(Collect(*cr, {}, pivot, &triggers)));
+    } else {
+      // The delta atom is the natural partition pivot: its window is
+      // exactly the last round's new facts.
+      const uint32_t prev = level - 1;
+      for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
+        if (delta_preds != nullptr &&
+            delta_preds->count(rule.body[d].predicate) == 0) {
+          continue;
+        }
+        std::vector<AtomLevelWindow> windows(rule.body.size());
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          if (j < d) {
+            windows[j].max_level = prev > 0 ? prev - 1 : 0;
+            if (prev == 0) windows[j].min_level = 1;  // empty window
+          } else if (j == d) {
+            windows[j].min_level = prev;
+            windows[j].max_level = prev;
+          }  // j > d: unrestricted (everything known so far)
+        }
+        MDQA_RETURN_IF_ERROR(Absorb(Collect(*cr, windows, d, &triggers)));
       }
-      Status es = shard_eval.Enumerate(rule.body, rule.negated,
+    }
+    if (interrupted()) return Status::Ok();
+    return Apply(cr, triggers, level, added, changed);
+  }
+
+ private:
+  // Records the first truncation; a non-OK interrupt means "stop
+  // gracefully, the result is a sound partial instance".
+  void NoteInterrupt(Status s, ChaseStop reason) {
+    if (interrupt_.ok()) {
+      interrupt_ = std::move(s);
+      stats_->stop = reason;
+    }
+  }
+
+  // Collects the frontier projections of one enumeration pass into
+  // `*out`. Matching must not observe concurrent mutation, so the whole
+  // pass runs before any trigger is applied.
+  //
+  // Serial path (no pool, pivot table missing, or fewer candidate rows
+  // than `min_parallel_seeds`): one CqEvaluator::Project — the columnar
+  // block join, or the backtracking evaluator on row storage.
+  //
+  // Parallel path: the pivot atom's in-window rows are strided across
+  // shards run on the pool. Each shard grounds the pivot atom against
+  // its rows (MatchAtom) and projects the *full* body under the same
+  // windows with that ground seed, so every homomorphism it finds has
+  // the pivot bound to exactly that row; the union of the shard sets is
+  // therefore the serial set. The instance is read-only throughout and
+  // the budget's counters are atomic, so shards share both safely. A
+  // counter trip can land on any shard — the first non-OK status in
+  // shard order is returned, and the merged set is then a subset of the
+  // serial one (sound: a truncated chase is an under-approximation
+  // either way).
+  Status Collect(const CompiledRule& cr,
+                 const std::vector<AtomLevelWindow>& windows, size_t pivot,
+                 TupleSet* out) const {
+    const Rule& rule = *cr.rule;
+    auto serial = [&]() {
+      CqEvaluator eval(*instance_, nullptr, budget_);
+      return eval.Project(rule.body, rule.negated, rule.comparisons,
+                          Subst{}, windows, cr.frontier, out);
+    };
+    ThreadPool* pool = options_.pool;
+    if (pool == nullptr || rule.body.empty()) return serial();
+    const Atom& pivot_atom = rule.body[pivot];
+    const FactTable* table = instance_->Table(pivot_atom.predicate);
+    if (table == nullptr) return serial();  // empty body relation
+
+    uint32_t min_level = 0;
+    uint32_t max_level = std::numeric_limits<uint32_t>::max();
+    if (!windows.empty()) {
+      min_level = windows[pivot].min_level;
+      max_level = windows[pivot].max_level;
+    }
+    std::vector<uint32_t> seeds;
+    seeds.reserve(table->size());
+    for (uint32_t r = 0; r < table->size(); ++r) {
+      const uint32_t lvl = table->Level(r);
+      if (lvl >= min_level && lvl <= max_level) seeds.push_back(r);
+    }
+    if (seeds.size() < std::max<uint64_t>(options_.min_parallel_seeds, 1)) {
+      return serial();
+    }
+
+    // A few shards per worker so uneven seed costs still balance.
+    const size_t shards = std::min(seeds.size(), pool->size() * 4);
+    std::vector<TupleSet> local(shards, TupleSet(cr.frontier.size()));
+    std::vector<Status> shard_status(shards, Status::Ok());
+    pool->ParallelFor(shards, [&](size_t s) {
+      CqEvaluator shard_eval(*instance_, nullptr, budget_);
+      Subst subst;
+      std::vector<uint32_t> trail;
+      for (size_t k = s; k < seeds.size(); k += shards) {
+        subst.clear();
+        trail.clear();
+        if (!MatchAtom(pivot_atom, table->Row(seeds[k]), &subst, &trail)) {
+          continue;  // pivot constants don't match this row
+        }
+        Status es = shard_eval.Project(rule.body, rule.negated,
                                        rule.comparisons, subst, windows,
-                                       collect);
-      if (!es.ok()) {
-        shard_status[s] = std::move(es);
-        return;
+                                       cr.frontier, &local[s]);
+        if (!es.ok()) {
+          shard_status[s] = std::move(es);
+          return;
+        }
+      }
+    });
+    for (size_t s = 0; s < shards; ++s) {
+      MDQA_RETURN_IF_ERROR(shard_status[s]);
+    }
+    for (const TupleSet& l : local) out->InsertAll(l);
+    return Status::Ok();
+  }
+
+  // Applies the collected triggers. Canonical order: sorted on their
+  // frontier bindings (Term::operator< is total), which makes the firing
+  // order — and with it null numbering, restricted-chase skips, and the
+  // final instance — a function of the trigger *set* alone, independent
+  // of enumeration order and thread count: the parallel chase is
+  // bit-identical to the serial one.
+  //
+  // Restricted chase: a trigger is skipped when its head is already
+  // satisfied (facts fired earlier this round count, so equivalent
+  // triggers cost one null tuple, not many). A rule without existential
+  // variables checks and fires its compiled ground head rows directly;
+  // existential heads, provenance and the semi-oblivious fired set take
+  // the substitution path.
+  Status Apply(CompiledRule* cr, const TupleSet& triggers, uint32_t level,
+               std::unordered_set<uint32_t>* added, bool* changed) {
+    const Rule& rule = *cr->rule;
+    const bool ground_path = !cr->ground_head.empty() &&
+                             options_.restricted &&
+                             options_.provenance == nullptr;
+    CqEvaluator eval(*instance_, nullptr, budget_);
+    Vocabulary* vocab = instance_->vocab().get();
+    total_facts_ = instance_->TotalFacts();
+    std::vector<Term> row;
+    // The probe is polled once per 16 triggers through a local tick (the
+    // first trigger always polls, so armed faults and expired deadlines
+    // still surface deterministically); ChargeFacts stays per-fact so
+    // fact caps trip exactly.
+    uint32_t trigger_tick = 0;
+    for (uint32_t t : triggers.SortedOrder()) {
+      if (budget_ != nullptr && (trigger_tick++ & 15u) == 0) {
+        MDQA_RETURN_IF_ERROR(Absorb(budget_->Check("chase:trigger")));
+      }
+      if (interrupted()) break;
+      const Term* tuple = triggers.at(t);
+      if (ground_path) {
+        // The per-check poll of the CqEvaluator probe this replaces.
+        if (budget_ != nullptr) {
+          MDQA_RETURN_IF_ERROR(Absorb(budget_->Check("cq:row")));
+          if (interrupted()) break;
+        }
+        bool satisfied = true;
+        for (const HeadTemplate& h : cr->ground_head) {
+          h.Fill(tuple, &row);
+          const FactTable* table = instance_->Table(h.predicate);
+          if (table == nullptr || !table->Contains(row.data())) {
+            satisfied = false;
+            break;
+          }
+        }
+        if (satisfied) continue;
+        ++stats_->tgd_firings;
+        for (const HeadTemplate& h : cr->ground_head) {
+          h.Fill(tuple, &row);
+          if (instance_->MutableTable(h.predicate, row.size())
+                  ->Insert(row.data(), level)) {
+            MDQA_RETURN_IF_ERROR(NoteNewFact(h.predicate, added, changed));
+          }
+        }
+      } else {
+        Subst h;
+        for (size_t i = 0; i < cr->frontier.size(); ++i) {
+          h[cr->frontier[i]] = tuple[i];
+        }
+        if (options_.restricted) {
+          Result<bool> satisfied = eval.Satisfiable(rule.head, {}, h);
+          if (!satisfied.ok()) {
+            MDQA_RETURN_IF_ERROR(Absorb(satisfied.status()));
+            break;
+          }
+          if (*satisfied) continue;
+        } else if (!cr->fired.Insert(tuple)) {
+          continue;  // semi-oblivious: this frontier already fired
+        }
+
+        // Ground body witness for provenance, found against the
+        // pre-firing instance (opt-in: one extra evaluation per firing).
+        std::vector<Atom> witness;
+        if (options_.provenance != nullptr) {
+          Status ws = eval.Enumerate(
+              rule.body, rule.negated, rule.comparisons, h, {},
+              [&](const Subst& theta) {
+                witness.reserve(rule.body.size());
+                for (const Atom& b : rule.body) {
+                  witness.push_back(SubstAtom(theta, b));
+                }
+                return false;  // first witness suffices
+              });
+          if (!ws.ok()) {
+            MDQA_RETURN_IF_ERROR(Absorb(std::move(ws)));
+            break;
+          }
+        }
+
+        for (uint32_t z : cr->existential) {
+          h[z] = vocab->FreshNull();
+          ++stats_->nulls_created;
+        }
+        ++stats_->tgd_firings;
+        for (const Atom& head_atom : rule.head) {
+          Atom fact = SubstAtom(h, head_atom);
+          if (instance_->AddFact(fact, level)) {
+            MDQA_RETURN_IF_ERROR(NoteNewFact(fact.predicate, added, changed));
+            if (options_.provenance != nullptr) {
+              options_.provenance->Record(
+                  fact, ProvenanceStore::Derivation{rule, witness});
+            }
+          }
+        }
+      }
+      if (total_facts_ > options_.max_facts) {
+        NoteInterrupt(
+            Status::ResourceExhausted(
+                "chase exceeded max_facts=" +
+                std::to_string(options_.max_facts) + " at round " +
+                std::to_string(level)),
+            ChaseStop::kFactLimit);
+        break;
       }
     }
-  });
-  for (size_t s = 0; s < shards; ++s) {
-    MDQA_RETURN_IF_ERROR(shard_status[s]);
+    return Status::Ok();
   }
-  for (auto& l : local) out->merge(l);
-  return Status::Ok();
-}
+
+  Status NoteNewFact(uint32_t predicate, std::unordered_set<uint32_t>* added,
+                     bool* changed) {
+    ++stats_->facts_added;
+    ++total_facts_;
+    *changed = true;
+    if (added != nullptr) added->insert(predicate);
+    return budget_ != nullptr ? Absorb(budget_->ChargeFacts(1))
+                              : Status::Ok();
+  }
+
+  Instance* instance_;
+  const ChaseOptions& options_;
+  ExecutionBudget* budget_;
+  ChaseStats* stats_;
+  Status interrupt_ = Status::Ok();
+  // Instance::TotalFacts as of the running Apply, kept by NoteNewFact.
+  size_t total_facts_ = 0;
+};
 
 // Union-find over terms for EGD application. Constants are always roots;
 // merging two constants is the caller's inconsistency case.
@@ -271,53 +535,14 @@ Status Chase::Run(const Program& program, Instance* instance,
                   const ChaseOptions& options, ChaseStats* stats) {
   *stats = ChaseStats{};
   ExecutionBudget* budget = options.budget;
-  // First truncation seen; non-OK means "stop gracefully, result is a
-  // sound partial instance". Hard faults return immediately instead.
-  Status interrupt = Status::Ok();
-  auto interrupted = [&]() { return !interrupt.ok(); };
-  auto note_interrupt = [&](Status s, ChaseStop reason) {
-    if (interrupt.ok()) {
-      interrupt = std::move(s);
-      stats->stop = reason;
-    }
-  };
-  // Routes a budget trip into `interrupt`; returns non-OK only for hard
-  // (non-truncation) faults, e.g. an injected kInternal.
-  auto absorb = [&](Status s, ChaseStop reason) -> Status {
-    if (s.ok() || interrupted()) return Status::Ok();
-    if (ExecutionBudget::IsTruncation(s)) {
-      note_interrupt(std::move(s), reason);
-      return Status::Ok();
-    }
-    return s;
-  };
-  auto budget_reason = [](const Status& s) {
-    return s.code() == StatusCode::kCancelled ? ChaseStop::kCancelled
-                                              : ChaseStop::kBudget;
-  };
+  ChaseDriver driver(instance, options, stats);
 
-  Vocabulary* vocab = instance->vocab().get();
-  const std::vector<Rule> tgds = program.Tgds();
-  for (const Rule& r : tgds) {
+  std::vector<CompiledRule> rules;
+  for (const Rule& r : program.rules()) {
+    if (!r.IsTgd()) continue;
     MDQA_RETURN_IF_ERROR(r.Validate());
+    rules.push_back(CompileRule(r));
   }
-
-  // Per-rule cached structure: frontier vars and existential vars.
-  struct RuleInfo {
-    const Rule* rule;
-    size_t index;  // into tgds order (keys the semi-oblivious fired set)
-    std::vector<uint32_t> frontier;
-    std::vector<uint32_t> existential;
-  };
-  std::vector<RuleInfo> infos;
-  infos.reserve(tgds.size());
-  for (size_t i = 0; i < tgds.size(); ++i) {
-    infos.push_back(RuleInfo{&tgds[i], i, tgds[i].FrontierVariables(),
-                             tgds[i].ExistentialVariables()});
-  }
-  // Semi-oblivious mode: remember which frontier bindings already fired,
-  // across rounds (full passes would otherwise refire them forever).
-  std::vector<std::unordered_set<Trigger, TriggerHash>> fired(tgds.size());
 
   // Stratified negation: group rules by the stratum of their head
   // predicates and run strata to fixpoint in order — a rule only negates
@@ -326,7 +551,6 @@ Status Chase::Run(const Program& program, Instance* instance,
   // a single stratum and behave exactly as before.
   std::unordered_map<uint32_t, int> strata_of;
   MDQA_ASSIGN_OR_RETURN(strata_of, StratifyProgram(program));
-  int max_stratum = 0;
   auto rule_stratum = [&strata_of](const Rule& r) {
     int s = 0;
     for (const Atom& h : r.head) {
@@ -335,18 +559,20 @@ Status Chase::Run(const Program& program, Instance* instance,
     }
     return s;
   };
-  for (const Rule& r : tgds) max_stratum = std::max(max_stratum, rule_stratum(r));
-  std::vector<std::vector<RuleInfo>> by_stratum(
+  int max_stratum = 0;
+  for (const CompiledRule& cr : rules) {
+    max_stratum = std::max(max_stratum, rule_stratum(*cr.rule));
+  }
+  std::vector<std::vector<CompiledRule*>> by_stratum(
       static_cast<size_t>(max_stratum) + 1);
-  for (const RuleInfo& info : infos) {
-    by_stratum[static_cast<size_t>(rule_stratum(*info.rule))].push_back(info);
+  for (CompiledRule& cr : rules) {
+    by_stratum[static_cast<size_t>(rule_stratum(*cr.rule))].push_back(&cr);
   }
 
   if (options.egd_mode == EgdMode::kInterleaved) {
     Result<uint64_t> merges = ApplyEgds(program, instance, budget);
     if (!merges.ok()) {
-      const ChaseStop reason = budget_reason(merges.status());
-      MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
+      MDQA_RETURN_IF_ERROR(driver.Absorb(merges.status()));
     } else {
       stats->egd_merges += *merges;
     }
@@ -358,8 +584,8 @@ Status Chase::Run(const Program& program, Instance* instance,
   uint64_t round = 0;  // global across strata: levels stay monotone
   bool budget_exhausted = false;
 
-  for (const std::vector<RuleInfo>& stratum_rules : by_stratum) {
-  if (budget_exhausted || interrupted()) break;
+  for (const std::vector<CompiledRule*>& stratum_rules : by_stratum) {
+  if (budget_exhausted || driver.interrupted()) break;
   bool stratum_start = true;
   while (true) {
     if (++round > options.max_rounds) {
@@ -370,9 +596,8 @@ Status Chase::Run(const Program& program, Instance* instance,
     if (budget != nullptr) {
       Status bs = budget->CheckNow("chase:round");
       if (bs.ok()) bs = budget->ChargeRounds(1);
-      const ChaseStop reason = budget_reason(bs);
-      MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-      if (interrupted()) break;
+      MDQA_RETURN_IF_ERROR(driver.Absorb(std::move(bs)));
+      if (driver.interrupted()) break;
     }
     const uint32_t level = static_cast<uint32_t>(round);
     const bool full_pass =
@@ -381,171 +606,18 @@ Status Chase::Run(const Program& program, Instance* instance,
     force_full = false;
     bool changed = false;
 
-    for (const RuleInfo& info : stratum_rules) {
-      if (interrupted()) break;
-      const Rule& rule = *info.rule;
-      CqEvaluator eval(*instance, nullptr, budget);
-
-      // Collect candidate triggers first (enumeration must not observe
-      // concurrent mutation), deduped on frontier bindings. With a pool,
-      // each pass's matching is sharded across workers (the instance is
-      // immutable here); without one, CollectPassTriggers is exactly the
-      // legacy single-threaded Enumerate.
-      std::unordered_set<Trigger, TriggerHash> triggers;
-
-      if (full_pass) {
-        // Partition on the body atom with the largest table: most seeds,
-        // so the cheapest residual join per seed.
-        size_t pivot = 0;
-        if (options.pool != nullptr) {
-          uint32_t best = 0;
-          for (size_t j = 0; j < rule.body.size(); ++j) {
-            const FactTable* t = instance->Table(rule.body[j].predicate);
-            const uint32_t sz = t != nullptr ? t->size() : 0;
-            if (sz > best) {
-              best = sz;
-              pivot = j;
-            }
-          }
-        }
-        Status es = CollectPassTriggers(
-            *instance, rule, info.frontier, {}, pivot, eval, options.pool,
-            options.min_parallel_seeds, budget, &triggers);
-        const ChaseStop reason = budget_reason(es);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-      } else {
-        // Semi-naive: one pass per delta atom d — atom d restricted to the
-        // previous round's facts, atoms before d to strictly older ones.
-        // The delta atom is the natural partition pivot: its window is
-        // exactly the last round's new facts.
-        const uint32_t prev = level - 1;
-        for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
-          std::vector<AtomLevelWindow> windows(rule.body.size());
-          for (size_t j = 0; j < rule.body.size(); ++j) {
-            if (j < d) {
-              windows[j].max_level = prev > 0 ? prev - 1 : 0;
-              if (prev == 0) windows[j].min_level = 1;  // empty window
-            } else if (j == d) {
-              windows[j].min_level = prev;
-              windows[j].max_level = prev;
-            }  // j > d: unrestricted (everything known so far)
-          }
-          Status es = CollectPassTriggers(
-              *instance, rule, info.frontier, windows, d, eval, options.pool,
-              options.min_parallel_seeds, budget, &triggers);
-          const ChaseStop reason = budget_reason(es);
-          MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-        }
-      }
-      if (interrupted()) break;
-
-      // Canonical apply order: sort the deduped triggers on their frontier
-      // bindings (Term::operator< is total). This makes the firing order —
-      // and with it null numbering, restricted-chase skips, and the final
-      // instance — a function of the trigger *set* alone, independent of
-      // enumeration order, hash-set iteration order, and thread count:
-      // the parallel chase is bit-identical to the serial one.
-      std::vector<const Trigger*> ordered;
-      ordered.reserve(triggers.size());
-      for (const Trigger& t : triggers) ordered.push_back(&t);
-      std::sort(ordered.begin(), ordered.end(),
-                [](const Trigger* a, const Trigger* b) {
-                  return a->frontier_bindings < b->frontier_bindings;
-                });
-
-      // Apply triggers: restricted chase — skip when the head is already
-      // satisfied (facts fired earlier this round count, so equivalent
-      // triggers cost one null tuple, not many).
-      // The probe is polled once per 16 triggers through a local tick
-      // (the first trigger always polls, so armed faults and expired
-      // deadlines still surface deterministically); ChargeFacts below
-      // stays per-fact so fact caps trip exactly.
-      uint32_t trigger_tick = 0;
-      for (const Trigger* trig_ptr : ordered) {
-        const Trigger& trig = *trig_ptr;
-        if (budget != nullptr && (trigger_tick++ & 15u) == 0) {
-          Status bs = budget->Check("chase:trigger");
-          const ChaseStop reason = budget_reason(bs);
-          MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-        }
-        if (interrupted()) break;
-        Subst h;
-        for (size_t i = 0; i < info.frontier.size(); ++i) {
-          h[info.frontier[i]] = trig.frontier_bindings[i];
-        }
-        if (options.restricted) {
-          CqEvaluator head_eval(*instance, nullptr, budget);
-          Result<bool> satisfied = head_eval.Satisfiable(rule.head, {}, h);
-          if (!satisfied.ok()) {
-            const ChaseStop reason = budget_reason(satisfied.status());
-            MDQA_RETURN_IF_ERROR(absorb(satisfied.status(), reason));
-            break;
-          }
-          if (*satisfied) continue;
-        } else if (!fired[info.index].insert(trig).second) {
-          continue;  // semi-oblivious: this frontier already fired
-        }
-
-        // Ground body witness for provenance, found against the
-        // pre-firing instance (opt-in: one extra evaluation per firing).
-        std::vector<Atom> witness;
-        if (options.provenance != nullptr) {
-          CqEvaluator witness_eval(*instance, nullptr, budget);
-          Status ws = witness_eval.Enumerate(
-              rule.body, rule.negated, rule.comparisons, h, {},
-              [&](const Subst& theta) {
-                witness.reserve(rule.body.size());
-                for (const Atom& b : rule.body) {
-                  witness.push_back(SubstAtom(theta, b));
-                }
-                return false;  // first witness suffices
-              });
-          if (!ws.ok()) {
-            const ChaseStop reason = budget_reason(ws);
-            MDQA_RETURN_IF_ERROR(absorb(std::move(ws), reason));
-            break;
-          }
-        }
-
-        for (uint32_t z : info.existential) {
-          h[z] = vocab->FreshNull();
-          ++stats->nulls_created;
-        }
-        ++stats->tgd_firings;
-        for (const Atom& head_atom : rule.head) {
-          Atom fact = SubstAtom(h, head_atom);
-          if (instance->AddFact(fact, level)) {
-            ++stats->facts_added;
-            changed = true;
-            if (budget != nullptr) {
-              Status fs = budget->ChargeFacts(1);
-              const ChaseStop reason = budget_reason(fs);
-              MDQA_RETURN_IF_ERROR(absorb(std::move(fs), reason));
-            }
-            if (options.provenance != nullptr) {
-              options.provenance->Record(
-                  fact, ProvenanceStore::Derivation{rule, witness});
-            }
-          }
-        }
-        if (instance->TotalFacts() > options.max_facts) {
-          note_interrupt(
-              Status::ResourceExhausted(
-                  "chase exceeded max_facts=" +
-                  std::to_string(options.max_facts) + " at round " +
-                  std::to_string(round)),
-              ChaseStop::kFactLimit);
-          break;
-        }
-      }
+    for (CompiledRule* cr : stratum_rules) {
+      if (driver.interrupted()) break;
+      MDQA_RETURN_IF_ERROR(driver.Step(cr, level, full_pass,
+                                       /*delta_preds=*/nullptr,
+                                       /*added=*/nullptr, &changed));
     }
-    if (interrupted()) break;
+    if (driver.interrupted()) break;
 
     if (options.egd_mode == EgdMode::kInterleaved) {
       Result<uint64_t> merges = ApplyEgds(program, instance, budget);
       if (!merges.ok()) {
-        const ChaseStop reason = budget_reason(merges.status());
-        MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
+        MDQA_RETURN_IF_ERROR(driver.Absorb(merges.status()));
         break;
       }
       stats->egd_merges += *merges;
@@ -557,10 +629,9 @@ Status Chase::Run(const Program& program, Instance* instance,
     // Estimating memory walks the whole instance, so only pay for it
     // when a limit was actually configured.
     if (budget != nullptr && budget->has_memory_limit()) {
-      Status ms = budget->NoteMemory(instance->MemoryEstimateBytes());
-      const ChaseStop reason = budget_reason(ms);
-      MDQA_RETURN_IF_ERROR(absorb(std::move(ms), reason));
-      if (interrupted()) break;
+      MDQA_RETURN_IF_ERROR(
+          driver.Absorb(budget->NoteMemory(instance->MemoryEstimateBytes())));
+      if (driver.interrupted()) break;
     }
 
     stats->rounds = round;
@@ -568,30 +639,28 @@ Status Chase::Run(const Program& program, Instance* instance,
   }
   }
   stats->rounds = round;
-  stats->reached_fixpoint = !budget_exhausted && !interrupted();
+  stats->reached_fixpoint = !budget_exhausted && !driver.interrupted();
 
   // Post-phase EGDs and the constraint check still run on the legacy
   // round-limit path (unchanged behaviour) but not after a budget trip:
   // the caller asked us to stop working.
-  if (!interrupted() && options.egd_mode == EgdMode::kPost) {
+  if (!driver.interrupted() && options.egd_mode == EgdMode::kPost) {
     Result<uint64_t> merges = ApplyEgds(program, instance, budget);
     if (!merges.ok()) {
-      const ChaseStop reason = budget_reason(merges.status());
-      MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
+      MDQA_RETURN_IF_ERROR(driver.Absorb(merges.status()));
     } else {
       stats->egd_merges += *merges;
     }
   }
-  if (!interrupted() && options.check_constraints) {
-    Status cs = CheckConstraints(program, *instance, budget);
-    const ChaseStop reason = budget_reason(cs);
-    MDQA_RETURN_IF_ERROR(absorb(std::move(cs), reason));
+  if (!driver.interrupted() && options.check_constraints) {
+    MDQA_RETURN_IF_ERROR(
+        driver.Absorb(CheckConstraints(program, *instance, budget)));
   }
 
-  if (interrupted()) {
+  if (driver.interrupted()) {
     stats->reached_fixpoint = false;
     stats->completeness = Completeness::kTruncated;
-    stats->interruption = interrupt;
+    stats->interruption = driver.interrupt();
     return Status::Ok();
   }
   if (budget_exhausted) {
@@ -732,49 +801,16 @@ Status Chase::Extend(const Program& program, Instance* instance,
   }
 
   ExecutionBudget* budget = options.budget;
-  Status interrupt = Status::Ok();
-  auto interrupted = [&]() { return !interrupt.ok(); };
-  auto note_interrupt = [&](Status s, ChaseStop reason) {
-    if (interrupt.ok()) {
-      interrupt = std::move(s);
-      stats->stop = reason;
-    }
-  };
-  auto absorb = [&](Status s, ChaseStop reason) -> Status {
-    if (s.ok() || interrupted()) return Status::Ok();
-    if (ExecutionBudget::IsTruncation(s)) {
-      note_interrupt(std::move(s), reason);
-      return Status::Ok();
-    }
-    return s;
-  };
-  auto budget_reason = [](const Status& s) {
-    return s.code() == StatusCode::kCancelled ? ChaseStop::kCancelled
-                                              : ChaseStop::kBudget;
-  };
-
-  Vocabulary* vocab = instance->vocab().get();
-  // No deep copy of the rule set here (unlike Run): every rule was
+  ChaseDriver driver(instance, options, stats);
+  // No copy or re-validation of the rule set here: every rule was
   // already validated by Program::AddRule, and an extension is supposed
-  // to be cheap relative to the program size. Variable classifications
-  // are computed lazily, only for rules the delta actually reaches.
-  struct RuleInfo {
-    const Rule* rule;
-    bool prepared = false;
-    std::vector<uint32_t> frontier;
-    std::vector<uint32_t> existential;
-  };
-  std::vector<RuleInfo> infos;
+  // to be cheap relative to the program size. Rules are compiled lazily,
+  // only when the delta actually reaches them.
+  std::vector<const Rule*> tgds;
   for (const Rule& r : program.rules()) {
-    if (r.IsTgd()) infos.push_back(RuleInfo{&r});
+    if (r.IsTgd()) tgds.push_back(&r);
   }
-  auto prepare = [](RuleInfo* info) {
-    if (!info->prepared) {
-      info->frontier = info->rule->FrontierVariables();
-      info->existential = info->rule->ExistentialVariables();
-      info->prepared = true;
-    }
-  };
+  std::vector<std::optional<CompiledRule>> compiled(tgds.size());
 
   // Seed the delta one level above the frontier: the first delta pass's
   // windows (pinned to `seed_level`) then select exactly these facts.
@@ -802,9 +838,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
       dirty_since_egd.insert(f.predicate);
       dirty_total.insert(f.predicate);
       if (budget != nullptr) {
-        Status fs = budget->ChargeFacts(1);
-        const ChaseStop reason = budget_reason(fs);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(fs), reason));
+        MDQA_RETURN_IF_ERROR(driver.Absorb(budget->ChargeFacts(1)));
       }
     }
   }
@@ -813,7 +847,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
   bool force_full = false;
   bool budget_exhausted = false;
 
-  while (!interrupted() && !budget_exhausted) {  // TGD/EGD alternation
+  while (!driver.interrupted() && !budget_exhausted) {  // TGD/EGD alternation
     while (true) {  // TGD rounds to fixpoint
       if (++round - frontier.round > options.max_rounds) {
         --round;
@@ -823,9 +857,8 @@ Status Chase::Extend(const Program& program, Instance* instance,
       if (budget != nullptr) {
         Status bs = budget->CheckNow("chase:round");
         if (bs.ok()) bs = budget->ChargeRounds(1);
-        const ChaseStop reason = budget_reason(bs);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-        if (interrupted()) break;
+        MDQA_RETURN_IF_ERROR(driver.Absorb(std::move(bs)));
+        if (driver.interrupted()) break;
       }
       const uint32_t level = static_cast<uint32_t>(round);
       const bool full_pass = !options.semi_naive || force_full;
@@ -833,12 +866,12 @@ Status Chase::Extend(const Program& program, Instance* instance,
       bool changed = false;
       std::unordered_set<uint32_t> added_this;
 
-      for (RuleInfo& info : infos) {
-        if (interrupted()) break;
-        const Rule& rule = *info.rule;
+      for (size_t i = 0; i < tgds.size(); ++i) {
+        if (driver.interrupted()) break;
+        const Rule& rule = *tgds[i];
         if (!full_pass) {
           // Delta-driven skip: no body predicate gained a fact at the
-          // previous level, so every pivot window below is empty.
+          // previous level, so every pivot window is empty.
           bool relevant = false;
           for (const Atom& b : rule.body) {
             if (added_prev.count(b.predicate) > 0) {
@@ -848,157 +881,29 @@ Status Chase::Extend(const Program& program, Instance* instance,
           }
           if (!relevant) continue;
         }
-        prepare(&info);
-        CqEvaluator eval(*instance, nullptr, budget);
-        std::unordered_set<Trigger, TriggerHash> triggers;
-
-        if (full_pass) {
-          size_t pivot = 0;
-          if (options.pool != nullptr) {
-            uint32_t best = 0;
-            for (size_t j = 0; j < rule.body.size(); ++j) {
-              const FactTable* t = instance->Table(rule.body[j].predicate);
-              const uint32_t sz = t != nullptr ? t->size() : 0;
-              if (sz > best) {
-                best = sz;
-                pivot = j;
-              }
-            }
-          }
-          Status es = CollectPassTriggers(
-              *instance, rule, info.frontier, {}, pivot, eval, options.pool,
-              options.min_parallel_seeds, budget, &triggers);
-          const ChaseStop reason = budget_reason(es);
-          MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-        } else {
-          // Semi-naive restart: identical windows to Run's delta passes —
-          // in the first extension round `prev == seed_level`, so the
-          // delta atom ranges over exactly the seeded facts while earlier
-          // atoms stay on strictly older (base) rows.
-          const uint32_t prev = level - 1;
-          for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
-            // The pivot window is pinned to level `prev`; a pivot
-            // predicate that gained nothing there selects nothing.
-            if (added_prev.count(rule.body[d].predicate) == 0) continue;
-            std::vector<AtomLevelWindow> windows(rule.body.size());
-            for (size_t j = 0; j < rule.body.size(); ++j) {
-              if (j < d) {
-                windows[j].max_level = prev > 0 ? prev - 1 : 0;
-                if (prev == 0) windows[j].min_level = 1;  // empty window
-              } else if (j == d) {
-                windows[j].min_level = prev;
-                windows[j].max_level = prev;
-              }  // j > d: unrestricted
-            }
-            Status es = CollectPassTriggers(
-                *instance, rule, info.frontier, windows, d, eval,
-                options.pool, options.min_parallel_seeds, budget, &triggers);
-            const ChaseStop reason = budget_reason(es);
-            MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-          }
-        }
-        if (interrupted()) break;
-
-        // Canonical apply order, as in Run: sorted on frontier bindings,
-        // so the extension is deterministic at any thread count.
-        std::vector<const Trigger*> ordered;
-        ordered.reserve(triggers.size());
-        for (const Trigger& t : triggers) ordered.push_back(&t);
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const Trigger* a, const Trigger* b) {
-                    return a->frontier_bindings < b->frontier_bindings;
-                  });
-
-        uint32_t trigger_tick = 0;
-        for (const Trigger* trig_ptr : ordered) {
-          const Trigger& trig = *trig_ptr;
-          if (budget != nullptr && (trigger_tick++ & 15u) == 0) {
-            Status bs = budget->Check("chase:trigger");
-            const ChaseStop reason = budget_reason(bs);
-            MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-          }
-          if (interrupted()) break;
-          Subst h;
-          for (size_t i = 0; i < info.frontier.size(); ++i) {
-            h[info.frontier[i]] = trig.frontier_bindings[i];
-          }
-          // Restricted chase only (the fallback matrix rejects
-          // semi-oblivious): skip satisfied heads — this is also what
-          // makes re-derivations of base facts free.
-          CqEvaluator head_eval(*instance, nullptr, budget);
-          Result<bool> satisfied = head_eval.Satisfiable(rule.head, {}, h);
-          if (!satisfied.ok()) {
-            const ChaseStop reason = budget_reason(satisfied.status());
-            MDQA_RETURN_IF_ERROR(absorb(satisfied.status(), reason));
-            break;
-          }
-          if (*satisfied) continue;
-
-          std::vector<Atom> witness;
-          if (options.provenance != nullptr) {
-            CqEvaluator witness_eval(*instance, nullptr, budget);
-            Status ws = witness_eval.Enumerate(
-                rule.body, rule.negated, rule.comparisons, h, {},
-                [&](const Subst& theta) {
-                  witness.reserve(rule.body.size());
-                  for (const Atom& b : rule.body) {
-                    witness.push_back(SubstAtom(theta, b));
-                  }
-                  return false;  // first witness suffices
-                });
-            if (!ws.ok()) {
-              const ChaseStop reason = budget_reason(ws);
-              MDQA_RETURN_IF_ERROR(absorb(std::move(ws), reason));
-              break;
-            }
-          }
-
-          for (uint32_t z : info.existential) {
-            h[z] = vocab->FreshNull();
-            ++stats->nulls_created;
-          }
-          ++stats->tgd_firings;
-          for (const Atom& head_atom : rule.head) {
-            Atom fact = SubstAtom(h, head_atom);
-            if (instance->AddFact(fact, level)) {
-              ++stats->facts_added;
-              changed = true;
-              added_this.insert(fact.predicate);
-              dirty_since_egd.insert(fact.predicate);
-              dirty_total.insert(fact.predicate);
-              if (budget != nullptr) {
-                Status fs = budget->ChargeFacts(1);
-                const ChaseStop reason = budget_reason(fs);
-                MDQA_RETURN_IF_ERROR(absorb(std::move(fs), reason));
-              }
-              if (options.provenance != nullptr) {
-                options.provenance->Record(
-                    fact, ProvenanceStore::Derivation{rule, witness});
-              }
-            }
-          }
-          if (instance->TotalFacts() > options.max_facts) {
-            note_interrupt(
-                Status::ResourceExhausted(
-                    "chase exceeded max_facts=" +
-                    std::to_string(options.max_facts) + " at round " +
-                    std::to_string(round)),
-                ChaseStop::kFactLimit);
-            break;
-          }
-        }
+        if (!compiled[i].has_value()) compiled[i] = CompileRule(rule);
+        // Restricted chase only (the fallback matrix rejects
+        // semi-oblivious): skipping satisfied heads is also what makes
+        // re-derivations of base facts free. In the first extension
+        // round `level - 1 == seed_level`, so the delta passes range over
+        // exactly the seeded facts while earlier atoms stay on strictly
+        // older (base) rows.
+        MDQA_RETURN_IF_ERROR(driver.Step(&*compiled[i], level, full_pass,
+                                         full_pass ? nullptr : &added_prev,
+                                         &added_this, &changed));
       }
-      if (interrupted()) break;
+      dirty_since_egd.insert(added_this.begin(), added_this.end());
+      dirty_total.insert(added_this.begin(), added_this.end());
+      if (driver.interrupted()) break;
       if (budget != nullptr && budget->has_memory_limit()) {
-        Status ms = budget->NoteMemory(instance->MemoryEstimateBytes());
-        const ChaseStop reason = budget_reason(ms);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(ms), reason));
-        if (interrupted()) break;
+        MDQA_RETURN_IF_ERROR(driver.Absorb(
+            budget->NoteMemory(instance->MemoryEstimateBytes())));
+        if (driver.interrupted()) break;
       }
       added_prev = std::move(added_this);
       if (!changed) break;  // TGD fixpoint for this alternation
     }
-    if (interrupted() || budget_exhausted || !has_egds) break;
+    if (driver.interrupted() || budget_exhausted || !has_egds) break;
 
     // The EGDs were at fixpoint when the frontier was captured, so they
     // can only fire again if some EGD body predicate gained a fact since
@@ -1021,8 +926,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
     // delta windows), so the next TGD sweep runs full passes.
     Result<uint64_t> merges = ApplyEgds(program, instance, budget);
     if (!merges.ok()) {
-      const ChaseStop reason = budget_reason(merges.status());
-      MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
+      MDQA_RETURN_IF_ERROR(driver.Absorb(merges.status()));
       break;
     }
     stats->egd_merges += *merges;
@@ -1030,24 +934,24 @@ Status Chase::Extend(const Program& program, Instance* instance,
     force_full = true;
   }
 
-  if (!interrupted() && !budget_exhausted && options.check_constraints) {
+  if (!driver.interrupted() && !budget_exhausted &&
+      options.check_constraints) {
     // The base run checked every constraint before capturing the
     // frontier, so only constraints reachable from new facts can have
     // flipped. EGD merges rewrite old facts in place, invalidating that
     // reasoning — any merge forces the unrestricted check.
     const std::unordered_set<uint32_t>* filter =
         stats->egd_merges == 0 ? &dirty_total : nullptr;
-    Status cs = CheckConstraints(program, *instance, budget, filter);
-    const ChaseStop reason = budget_reason(cs);
-    MDQA_RETURN_IF_ERROR(absorb(std::move(cs), reason));
+    MDQA_RETURN_IF_ERROR(
+        driver.Absorb(CheckConstraints(program, *instance, budget, filter)));
   }
 
   stats->rounds = round;
-  stats->reached_fixpoint = !interrupted() && !budget_exhausted;
-  if (interrupted()) {
+  stats->reached_fixpoint = !driver.interrupted() && !budget_exhausted;
+  if (driver.interrupted()) {
     stats->reached_fixpoint = false;
     stats->completeness = Completeness::kTruncated;
-    stats->interruption = interrupt;
+    stats->interruption = driver.interrupt();
     return Status::Ok();
   }
   if (budget_exhausted) {

@@ -243,6 +243,38 @@ Status CqEvaluator::Enumerate(
   return s.error;
 }
 
+Status CqEvaluator::Project(const std::vector<Atom>& atoms,
+                            const std::vector<Atom>& negated,
+                            const std::vector<Comparison>& comparisons,
+                            const Subst& initial,
+                            const std::vector<AtomLevelWindow>& windows,
+                            const std::vector<uint32_t>& vars,
+                            TupleSet* out) const {
+  if (instance_.storage_mode() == StorageMode::kColumnar && initial.empty()) {
+    // The same validation and up-front budget poll as Enumerate's
+    // columnar dispatch.
+    if (!windows.empty() && windows.size() != atoms.size()) {
+      return Status::InvalidArgument(
+          "level-window count must match atom count");
+    }
+    if (budget_ != nullptr) {
+      Status bs = budget_->Check("cq:row");
+      if (!bs.ok()) return bs;
+    }
+    BlockJoin join(instance_, stats_, budget_);
+    return join.Project(atoms, negated, comparisons, windows, vars, out);
+  }
+  std::vector<Term> tuple(vars.size());
+  return Enumerate(atoms, negated, comparisons, initial, windows,
+                   [&](const Subst& subst) {
+                     for (size_t i = 0; i < vars.size(); ++i) {
+                       tuple[i] = Resolve(subst, Term::Variable(vars[i]));
+                     }
+                     out->Insert(tuple.data());
+                     return true;
+                   });
+}
+
 Result<bool> CqEvaluator::Satisfiable(
     const std::vector<Atom>& atoms, const std::vector<Comparison>& comparisons,
     const Subst& initial) const {

@@ -8,6 +8,7 @@
 
 #include "base/budget.h"
 #include "base/result.h"
+#include "datalog/flat_index.h"
 #include "datalog/instance.h"
 #include "datalog/unify.h"
 
@@ -68,6 +69,19 @@ class CqEvaluator {
                    const std::function<bool(const Subst&)>& on_match) const {
     return Enumerate(atoms, {}, comparisons, initial, windows, on_match);
   }
+
+  /// Adds the projection onto `vars` of every homomorphism of the body
+  /// extending `initial` to `*out` (`out->width() == vars.size()`; every
+  /// variable of `vars` must occur in a positive atom). The set, not the
+  /// order, is the result. Columnar instances with empty `initial` run
+  /// BlockJoin::Project, which never builds a substitution; everything
+  /// else runs `Enumerate`.
+  Status Project(const std::vector<Atom>& atoms,
+                 const std::vector<Atom>& negated,
+                 const std::vector<Comparison>& comparisons,
+                 const Subst& initial,
+                 const std::vector<AtomLevelWindow>& windows,
+                 const std::vector<uint32_t>& vars, TupleSet* out) const;
 
   /// True iff the body has at least one homomorphism extending `initial`.
   Result<bool> Satisfiable(const std::vector<Atom>& atoms,

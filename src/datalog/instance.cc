@@ -14,23 +14,20 @@ const char* StorageModeToString(StorageMode mode) {
   return "unknown";
 }
 
-size_t FactTable::HashRow(const Term* row) const {
+uint32_t FactTable::RowKey(const Term* row) const {
   size_t seed = arity_;
   for (size_t i = 0; i < arity_; ++i) {
     HashCombine(&seed, TermHash{}(row[i]));
   }
-  return seed & hash_mask_;
+  return FlatRowIndex::Key(seed) & static_cast<uint32_t>(hash_mask_);
 }
 
-int64_t FactTable::FindRow(const Term* row) const {
-  auto it = dedup_.find(HashRow(row));
-  if (it == dedup_.end()) return -1;
-  // The bucket is keyed by a lossy hash: verify full-row equality before
-  // trusting a candidate (two distinct rows must never alias).
-  for (uint32_t idx : it->second) {
-    if (std::equal(row, row + arity_, Row(idx))) return idx;
-  }
-  return -1;
+int64_t FactTable::FindRow(const Term* row, uint32_t key) const {
+  // Keys are lossy: only a full-row match counts (two distinct rows must
+  // never alias).
+  return dedup_.Find(key, [&](uint32_t idx) {
+    return std::equal(row, row + arity_, Row(idx));
+  });
 }
 
 bool FactTable::InSealedDict(size_t pos, Term t) const {
@@ -41,7 +38,8 @@ bool FactTable::InSealedDict(size_t pos, Term t) const {
 }
 
 bool FactTable::Insert(const Term* row, uint32_t level) {
-  int64_t existing = FindRow(row);
+  const uint32_t key = RowKey(row);
+  int64_t existing = FindRow(row, key);
   if (existing >= 0) {
     uint32_t& lvl = levels_[static_cast<uint32_t>(existing)];
     lvl = std::min(lvl, level);
@@ -50,7 +48,7 @@ bool FactTable::Insert(const Term* row, uint32_t level) {
   uint32_t idx = static_cast<uint32_t>(size());
   data_.insert(data_.end(), row, row + arity_);
   levels_.push_back(level);
-  dedup_[HashRow(row)].push_back(idx);
+  dedup_.Insert(key, idx);
   if (mode_ == StorageMode::kRow) {
     for (size_t pos = 0; pos < arity_; ++pos) {
       auto& bucket = index_[pos][TermHash{}(row[pos]) & hash_mask_];
@@ -158,13 +156,10 @@ void FactTable::set_hash_mask_for_test(uint64_t mask) {
 uint64_t FactTable::MemoryEstimateBytes() const {
   uint64_t bytes = data_.capacity() * sizeof(Term) +
                    levels_.capacity() * sizeof(uint32_t);
-  // Hash maps: count buckets plus the per-entry row vectors. This is an
-  // estimate for budget accounting, not an allocator-exact figure.
-  bytes += dedup_.bucket_count() *
-           (sizeof(size_t) + sizeof(std::vector<uint32_t>));
-  for (const auto& [_, rows] : dedup_) {
-    bytes += rows.capacity() * sizeof(uint32_t);
-  }
+  bytes += dedup_.MemoryEstimateBytes();
+  // Row-mode hash maps: count buckets plus the per-entry row vectors.
+  // This is an estimate for budget accounting, not an allocator-exact
+  // figure.
   for (const auto& m : index_) {
     bytes += m.bucket_count() *
              (sizeof(uint64_t) +

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "base/result.h"
+#include "datalog/flat_index.h"
 #include "datalog/program.h"
 #include "datalog/segment.h"
 #include "relational/database.h"
@@ -31,11 +32,11 @@ enum class StorageMode : uint8_t {
 const char* StorageModeToString(StorageMode mode);
 
 /// Deduplicated ground-fact storage for one predicate: flattened term
-/// rows with a hash-based dedup table, plus per-position probe structures
-/// in one of two layouts (StorageMode). Each row carries a derivation
-/// level: 0 for extensional facts, and 1 + max(body levels) for
-/// chase-derived facts — the level-bounded chase used for weakly-sticky
-/// query answering keys off this.
+/// rows with a flat open-addressing dedup index (FlatRowIndex), plus
+/// per-position probe structures in one of two layouts (StorageMode).
+/// Each row carries a derivation level: 0 for extensional facts, and
+/// 1 + max(body levels) for chase-derived facts — the level-bounded
+/// chase used for weakly-sticky query answering keys off this.
 ///
 /// A table is segmented into a *frozen base* (rows below `frozen_rows()`,
 /// written before the last `MarkFrozen()`) and a *mutable overlay* (rows
@@ -45,7 +46,8 @@ const char* StorageModeToString(StorageMode mode);
 /// shared base ends when an update path appends. In columnar mode the
 /// sealed segments of the chain are additionally shared *between* cloned
 /// tables (immutable `shared_ptr<const Segment>`), so a copy-on-write
-/// clone re-copies only the rows, dedup table and mutable overlay — the
+/// clone re-copies only the rows, the dedup index (one flat vector) and
+/// the mutable overlay — the
 /// dictionary/postings structures of the frozen base are never duplicated.
 ///
 /// Every hash-keyed probe structure here (the dedup table, the row-mode
@@ -70,7 +72,9 @@ class FactTable {
   /// already exists its level is lowered to `level` when smaller.
   bool Insert(const Term* row, uint32_t level);
 
-  bool Contains(const Term* row) const { return FindRow(row) >= 0; }
+  bool Contains(const Term* row) const {
+    return FindRow(row, RowKey(row)) >= 0;
+  }
 
   /// Pointer to the `arity()` terms of row `i`.
   const Term* Row(uint32_t i) const { return data_.data() + i * arity_; }
@@ -140,8 +144,9 @@ class FactTable {
   void set_hash_mask_for_test(uint64_t mask);
 
  private:
-  int64_t FindRow(const Term* row) const;
-  size_t HashRow(const Term* row) const;
+  int64_t FindRow(const Term* row, uint32_t key) const;
+  /// The FlatRowIndex key of `row`, masked by `hash_mask_`.
+  uint32_t RowKey(const Term* row) const;
   /// True when `t` occurs at position `pos` of any sealed segment.
   bool InSealedDict(size_t pos, Term t) const;
 
@@ -149,7 +154,7 @@ class FactTable {
   StorageMode mode_;
   std::vector<Term> data_;        // flattened rows (both modes)
   std::vector<uint32_t> levels_;  // per-row derivation level
-  std::unordered_map<size_t, std::vector<uint32_t>> dedup_;  // hash -> rows
+  FlatRowIndex dedup_;            // row key -> row index
   // Row mode: per-position hash indexes, term-hash -> verified (term,
   // rows) buckets.
   std::vector<

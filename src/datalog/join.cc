@@ -290,9 +290,14 @@ struct Executor {
   EvalStats* stats;         // may be null
   ExecutionBudget* budget;  // may be null
   const std::vector<AtomLevelWindow>* windows;  // may be null
-  const std::function<bool(const Subst&)>* on_match;
+  const std::function<bool(const Subst&)>* on_match;  // null: projection
   const Subst* initial;
   Plan plan;
+  // Projection mode: each solution adds the values of these slots to
+  // `project_out` instead of calling `on_match`.
+  TupleSet* project_out = nullptr;
+  std::vector<uint32_t> project_slots;
+  std::vector<Term> project_row;
 
   uint32_t budget_tick = 0;
   bool stop = false;
@@ -444,6 +449,13 @@ struct Executor {
       }
       const Term* slots = in.data.data() + bi * plan.num_slots;
       if (stats != nullptr) ++stats->solutions;
+      if (project_out != nullptr) {
+        for (size_t i = 0; i < project_slots.size(); ++i) {
+          project_row[i] = slots[project_slots[i]];
+        }
+        project_out->Insert(project_row.data());
+        continue;
+      }
       for (size_t i = 0; i < out_ptrs.size(); ++i) {
         *out_ptrs[i] = slots[plan.out_vars[i].second];
       }
@@ -625,6 +637,67 @@ bool BlockJoin::Supports(const Subst& initial) {
   return true;
 }
 
+namespace {
+
+// Compiles the plan for `ex` (whose instance, budget, stats and output
+// are set) and runs it from the initial bindings. `project_vars` names
+// the emitted slots in projection mode.
+Status Execute(Executor* ex, const std::vector<Atom>& atoms,
+               const std::vector<Atom>& negated,
+               const std::vector<Comparison>& comparisons,
+               const Subst& initial,
+               const std::vector<AtomLevelWindow>& windows,
+               const std::vector<uint32_t>* project_vars) {
+  ex->vocab = ex->instance->vocab().get();
+  ex->windows = windows.empty() ? nullptr : &windows;
+  ex->initial = &initial;
+
+  std::vector<Term> initial_slots;
+  BuildPlan(*ex->instance, atoms, negated, comparisons, initial, &ex->plan,
+            &initial_slots);
+  initial_slots.resize(ex->plan.num_slots, Term());
+
+  if (project_vars != nullptr) {
+    for (uint32_t var : *project_vars) {
+      auto it = std::find_if(
+          ex->plan.out_vars.begin(), ex->plan.out_vars.end(),
+          [var](const std::pair<uint32_t, uint32_t>& vs) {
+            return vs.first == var;
+          });
+      if (it == ex->plan.out_vars.end()) {
+        return Status::InvalidArgument(
+            "projected variable not bound by any relational atom");
+      }
+      ex->project_slots.push_back(it->second);
+    }
+    ex->project_row.resize(project_vars->size());
+  } else {
+    ex->PrepareEmit();
+  }
+
+  size_t max_bound = 0;
+  for (const PlannedAtom& pa : ex->plan.order) {
+    max_bound = std::max(max_bound, pa.bound_positions.size());
+  }
+  ex->scratch_targets.resize(max_bound);
+  ex->hash_index.resize(ex->plan.order.size());
+  ex->block_pool.resize(ex->plan.order.size());
+  // The legacy evaluator prunes the whole enumeration when a comparison
+  // or negated atom already fails under the initial bindings.
+  if (!ex->ChecksHold(ex->plan.initial_checks, ex->plan.initial_neg_checks,
+                      initial_slots.data())) {
+    return Status::Ok();
+  }
+
+  Block root;
+  root.data = std::move(initial_slots);
+  root.count = 1;
+  ex->Process(0, root);
+  return ex->error;
+}
+
+}  // namespace
+
 Status BlockJoin::Run(const std::vector<Atom>& atoms,
                       const std::vector<Atom>& negated,
                       const std::vector<Comparison>& comparisons,
@@ -633,38 +706,26 @@ Status BlockJoin::Run(const std::vector<Atom>& atoms,
                       const std::function<bool(const Subst&)>& on_match) {
   Executor ex;
   ex.instance = &instance_;
-  ex.vocab = instance_.vocab().get();
   ex.stats = stats_;
   ex.budget = budget_;
-  ex.windows = windows.empty() ? nullptr : &windows;
   ex.on_match = &on_match;
-  ex.initial = &initial;
+  return Execute(&ex, atoms, negated, comparisons, initial, windows,
+                 /*project_vars=*/nullptr);
+}
 
-  std::vector<Term> initial_slots;
-  BuildPlan(instance_, atoms, negated, comparisons, initial, &ex.plan,
-            &initial_slots);
-  initial_slots.resize(ex.plan.num_slots, Term());
-
-  size_t max_bound = 0;
-  for (const PlannedAtom& pa : ex.plan.order) {
-    max_bound = std::max(max_bound, pa.bound_positions.size());
-  }
-  ex.scratch_targets.resize(max_bound);
-  ex.hash_index.resize(ex.plan.order.size());
-  ex.block_pool.resize(ex.plan.order.size());
-  ex.PrepareEmit();
-  // The legacy evaluator prunes the whole enumeration when a comparison
-  // or negated atom already fails under the initial bindings.
-  if (!ex.ChecksHold(ex.plan.initial_checks, ex.plan.initial_neg_checks,
-                     initial_slots.data())) {
-    return Status::Ok();
-  }
-
-  Block root;
-  root.data = std::move(initial_slots);
-  root.count = 1;
-  ex.Process(0, root);
-  return ex.error;
+Status BlockJoin::Project(const std::vector<Atom>& atoms,
+                          const std::vector<Atom>& negated,
+                          const std::vector<Comparison>& comparisons,
+                          const std::vector<AtomLevelWindow>& windows,
+                          const std::vector<uint32_t>& vars, TupleSet* out) {
+  Executor ex;
+  ex.instance = &instance_;
+  ex.stats = stats_;
+  ex.budget = budget_;
+  ex.on_match = nullptr;
+  ex.project_out = out;
+  const Subst none;
+  return Execute(&ex, atoms, negated, comparisons, none, windows, &vars);
 }
 
 }  // namespace mdqa::datalog

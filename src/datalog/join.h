@@ -62,6 +62,17 @@ class BlockJoin {
              const std::vector<AtomLevelWindow>& windows,
              const std::function<bool(const Subst&)>& on_match);
 
+  /// Projection entry point: enumerates the body like `Run` from empty
+  /// initial bindings, but adds only the slot values of `vars` (each a
+  /// variable of some atom of `atoms`; `out->width() == vars.size()`) to
+  /// `*out` — no substitution, no callback. Same contract as
+  /// CqEvaluator::Project, which dispatches here.
+  Status Project(const std::vector<Atom>& atoms,
+                 const std::vector<Atom>& negated,
+                 const std::vector<Comparison>& comparisons,
+                 const std::vector<AtomLevelWindow>& windows,
+                 const std::vector<uint32_t>& vars, TupleSet* out);
+
  private:
   const Instance& instance_;
   EvalStats* stats_;         // optional, not owned

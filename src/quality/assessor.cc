@@ -146,7 +146,8 @@ Result<AssessmentReport> Assessor::Assess(qa::Engine engine) const {
   return Assess(options);
 }
 
-Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
+Result<AssessmentReport> Assessor::Assess(
+    const AssessOptions& opts, std::optional<PreparedContext>* session) const {
   AssessmentReport report;
 
   // Pre-run gate: compile and classify the contextual program ONCE —
@@ -389,6 +390,10 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
       total_original == 0 ? 1.0
                           : static_cast<double>(total_common) /
                                 static_cast<double>(total_original);
+  if (session != nullptr && use_prepared && !opts.prune_dead_rules &&
+      prepared->chase_stats().completeness == Completeness::kComplete) {
+    *session = std::move(*prepared);
+  }
   return report;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MDQA_QUALITY_ASSESSOR_H_
 #define MDQA_QUALITY_ASSESSOR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -170,7 +171,15 @@ class Assessor {
   Result<AssessmentReport> Assess(
       qa::Engine engine = qa::Engine::kChase) const;
 
-  Result<AssessmentReport> Assess(const AssessOptions& options) const;
+  /// With a non-null `session`, a run that materialized on the kChase
+  /// path with the full (unpruned) program and reached the fixpoint
+  /// (untruncated) hands its prepared session back through `*session`,
+  /// so a caller that serves the result does not chase again; any other
+  /// run leaves `*session` untouched. The session's chase options keep
+  /// `options.budget` and `options.pool`, which must then outlive it.
+  Result<AssessmentReport> Assess(
+      const AssessOptions& options,
+      std::optional<PreparedContext>* session = nullptr) const;
 
   /// Incremental re-assessment after a `PreparedContext::ApplyUpdate`:
   /// `session` is the updated session, `previous` the report of the

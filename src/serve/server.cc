@@ -159,6 +159,7 @@ Result<std::unique_ptr<AssessmentServer>> AssessmentServer::Start(
   std::optional<PreparedContext> prepared;
   std::optional<quality::AssessmentReport> report;
   uint64_t generation = 1;
+  uint64_t replayed = 0;  // WAL records rolled forward
   if (image != nullptr) {
     // Restore: swap in the persisted database, rebuild the materialized
     // instance from the image (no chase), and recompute the report off
@@ -181,6 +182,7 @@ Result<std::unique_ptr<AssessmentServer>> AssessmentServer::Start(
     // re-applied exactly as the writer thread originally did.
     for (const storage::WalRecord& wr : wal_records) {
       if (wr.target_generation <= generation) continue;
+      ++replayed;
       MDQA_ASSIGN_OR_RETURN(PreparedContext next,
                             prepared->ApplyUpdate(wr.batch));
       MDQA_ASSIGN_OR_RETURN(quality::AssessmentReport rep2,
@@ -190,13 +192,27 @@ Result<std::unique_ptr<AssessmentServer>> AssessmentServer::Start(
       generation = wr.target_generation;
     }
   } else {
-    MDQA_ASSIGN_OR_RETURN(PreparedContext fresh, server->context_.Prepare());
-    MDQA_ASSIGN_OR_RETURN(quality::AssessmentReport rep, assessor.Assess());
-    prepared = std::move(fresh);
+    // One chase serves both: the assessment hands back the session it
+    // materialized. It does not when the data violates a constraint (the
+    // report records the violation); preparing again then surfaces it
+    // as the refusal.
+    MDQA_ASSIGN_OR_RETURN(
+        quality::AssessmentReport rep,
+        assessor.Assess(quality::AssessOptions{}, &prepared));
+    if (!prepared.has_value()) {
+      MDQA_ASSIGN_OR_RETURN(PreparedContext fresh,
+                            server->context_.Prepare());
+      prepared = std::move(fresh);
+    }
     report = std::move(rep);
   }
 
-  if (options.store != nullptr) {
+  // A clean resume — a checkpoint recovered without damage and nothing
+  // replayed on top — has nothing to fold: the recovered checkpoint is
+  // already the durable base, and Recover reopened its WAL.
+  server->clean_resume_ = image != nullptr && replayed == 0 &&
+                          server->recovery_degradations_.empty();
+  if (options.store != nullptr && !server->clean_resume_) {
     // Collapse recovery into a fresh checkpoint: replayed WAL records are
     // folded in and the log rotates, so the next restart replays nothing;
     // a fresh store gets its durable base (AppendBatch needs an open WAL).
@@ -263,6 +279,9 @@ void AssessmentServer::Shutdown() {
     // served, so there is nothing to persist.
     auto snap = Pin();
     if (snap == nullptr) return;
+    // Nothing committed since a clean resume: the recovered checkpoint
+    // already is the final generation's durable base.
+    if (clean_resume_ && snap->generation == base_generation_) return;
     auto image = storage::CaptureSessionImage(
         *snap->session, snap->generation, snap->generation - 1,
         options_.scenario);

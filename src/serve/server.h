@@ -125,9 +125,10 @@ struct ServerOptions {
 /// (default "anonymous"); deadlines in X-Mdqa-Deadline-Ms.
 class AssessmentServer {
  public:
-  /// Builds the initial snapshot (Prepare + full Assess — constraint
-  /// violations and lint errors surface here), binds the listener, and
-  /// starts the accept/worker/writer/watchdog threads.
+  /// Builds the initial snapshot (one full Assess, whose prepared
+  /// session is published — constraint violations and lint errors
+  /// surface here), binds the listener, and starts the
+  /// accept/worker/writer/watchdog threads.
   static Result<std::unique_ptr<AssessmentServer>> Start(
       quality::QualityContext context, const ServerOptions& options);
 
@@ -283,6 +284,9 @@ class AssessmentServer {
   /// by Shutdown on the owning thread, read after it returns).
   uint64_t base_generation_ = 1;
   std::vector<std::string> recovery_degradations_;
+  // Start resumed from an undamaged checkpoint with no WAL to replay, so
+  // the store already holds the base generation durably.
+  bool clean_resume_ = false;
   Status final_persist_status_;
 };
 

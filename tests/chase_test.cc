@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "datalog/provenance.h"
+#include "reference_chase.h"
 
 namespace mdqa::datalog {
 namespace {
@@ -318,6 +320,202 @@ TEST(Chase, StatsToStringMentionsFixpoint) {
   auto run = RunChase("P(1).\nQ(X) :- P(X).\n");
   ASSERT_TRUE(run.stats.ok());
   EXPECT_NE(run.stats->ToString().find("fixpoint"), std::string::npos);
+}
+
+// ------------------------------------------- trigger pipeline vs reference
+
+// One battery program. Chase::Run (and, where `delta` is set, Chase::Extend
+// with those facts) must derive exactly the reference chase's facts, up to
+// null renaming, in both storage modes.
+struct BatteryCase {
+  const char* name;
+  const char* text;
+  std::vector<const char*> delta;  // ground atoms for Extend; may be empty
+  bool restricted = true;
+  bool provenance = false;
+};
+
+const BatteryCase kBattery[] = {
+    {"repeated_frontier_variable",
+     "Q(1, 2). Q(3, 3). Q(4, 5). Q(2, 1).\n"
+     "P(X, X) :- Q(X, Y).\n"
+     "R(X, Y) :- Q(X, Y), Q(Y, X).\n"
+     "S(X) :- P(X, X), Q(X, X).\n",
+     {"Q(5, 5)", "Q(5, 4)"}},
+    {"constants_in_head",
+     "T(\"a\", 37). T(\"b\", 39). T(\"c\", 40).\n"
+     "Tag(X, \"hot\", 1) :- T(X, V), V > 38.\n"
+     "Tag(\"all\", X, 0) :- Tag(X, Y, 1).\n",
+     {"T(\"d\", 41)"}},
+    {"multi_atom_ground_head",
+     "E(1, 2). E(2, 3). E(3, 1). Seen(2).\n"
+     "Seen(X), Step(X, Y), Step(Y, X) :- E(X, Y).\n"
+     "Reach(X, Z), Seen(Z) :- Step(X, Y), Step(Y, Z).\n",
+     {"E(3, 4)"}},
+    {"empty_frontier",
+     "Q(1). Q(2).\n"
+     "Flag(\"on\") :- Q(X).\n"
+     "Flag(\"seen\") :- Flag(\"on\"), Q(3).\n",
+     {"Q(3)"}},
+    {"existential_head",
+     "Person(\"ann\"). Person(\"bob\"). Parent(\"bob\", \"cy\").\n"
+     "Parent(X, Z) :- Person(X).\n"
+     "Known(Y) :- Parent(X, Y).\n"
+     "Ward(W, Z), Unit(Z) :- Known(W).\n",
+     {"Person(\"dee\")"}},
+    {"semi_oblivious",
+     "Person(\"ann\"). Person(\"bob\"). Parent(\"bob\", \"cy\").\n"
+     "Parent(X, Z) :- Person(X).\n"
+     "Known(Y) :- Parent(X, Y).\n",
+     {},
+     /*restricted=*/false},
+    {"provenance",
+     "E(1, 2). E(2, 3). E(3, 4).\n"
+     "T(X, Y) :- E(X, Y).\n"
+     "T(X, Z), Via(X, Y, \"hop\") :- T(X, Y), E(Y, Z).\n"
+     "Root(X, Z) :- T(X, Y).\n",
+     {},
+     /*restricted=*/true,
+     /*provenance=*/true},
+    {"recursive_cycle",
+     "E(1, 2). E(2, 3). E(3, 4). E(4, 2).\n"
+     "T(X, Y) :- E(X, Y).\n"
+     "T(X, Z) :- T(X, Y), T(Y, Z).\n",
+     {"E(4, 5)", "E(5, 1)"}},
+};
+
+void PrintTo(const BatteryCase& c, std::ostream* os) { *os << c.name; }
+
+class TriggerBattery : public ::testing::TestWithParam<BatteryCase> {};
+
+// The reference chase's result for the program plus `delta`, rendered
+// with canonical null names.
+std::string ReferenceResult(const BatteryCase& c, bool with_delta) {
+  auto p = Parser::ParseProgram(c.text);
+  EXPECT_TRUE(p.ok()) << p.status();
+  reference::FactSets facts = reference::ReferenceFacts(*p);
+  if (with_delta) {
+    for (const char* d : c.delta) {
+      auto atom = Parser::ParseGroundAtom(d, p->mutable_vocab());
+      EXPECT_TRUE(atom.ok()) << atom.status();
+      facts[atom->predicate].insert(atom->terms);
+    }
+  }
+  reference::ReferenceChase(*p, c.restricted, &facts);
+  return reference::ToInstance(*p, facts).ToCanonicalString();
+}
+
+TEST_P(TriggerBattery, MatchesReferenceInBothStorageModes) {
+  const BatteryCase& c = GetParam();
+  const std::string reference = ReferenceResult(c, /*with_delta=*/false);
+  std::vector<std::string> rendered;
+  std::vector<std::string> stats;
+  for (StorageMode mode : {StorageMode::kColumnar, StorageMode::kRow}) {
+    SCOPED_TRACE(StorageModeToString(mode));
+    auto p = Parser::ParseProgram(c.text);
+    ASSERT_TRUE(p.ok()) << p.status();
+    Instance instance = Instance::FromProgram(*p, mode);
+    ProvenanceStore store;
+    ChaseOptions options;
+    options.restricted = c.restricted;
+    if (c.provenance) options.provenance = &store;
+    ChaseStats run;
+    ASSERT_TRUE(Chase::Run(*p, &instance, options, &run).ok());
+    ASSERT_TRUE(run.reached_fixpoint);
+    EXPECT_EQ(instance.ToCanonicalString(), reference);
+    EXPECT_EQ(run.facts_added, instance.TotalFacts() - p->facts().size());
+    // A restricted firing always adds a fact: its head was unsatisfied.
+    if (c.restricted) EXPECT_LE(run.tgd_firings, run.facts_added);
+    rendered.push_back(instance.ToString());
+    stats.push_back(run.ToString());
+    if (c.provenance) {
+      size_t derived = 0;
+      for (uint32_t pred : instance.Predicates()) {
+        for (const Atom& fact : instance.Facts(pred)) {
+          if (std::find(p->facts().begin(), p->facts().end(), fact) !=
+              p->facts().end()) {
+            continue;
+          }
+          ++derived;
+          EXPECT_NE(store.Find(fact), nullptr)
+              << p->vocab()->AtomToString(fact);
+        }
+      }
+      EXPECT_EQ(store.size(), derived);
+    }
+    if (c.delta.empty()) continue;
+
+    // The extension shares Run's collect-and-apply step.
+    std::vector<Atom> delta;
+    for (const char* d : c.delta) {
+      auto atom = Parser::ParseGroundAtom(d, p->mutable_vocab());
+      ASSERT_TRUE(atom.ok()) << atom.status();
+      delta.push_back(*atom);
+    }
+    ChaseStats extended;
+    ASSERT_TRUE(Chase::Extend(*p, &instance, run.frontier, delta, options,
+                              &extended)
+                    .ok());
+    ASSERT_TRUE(extended.reached_fixpoint);
+    EXPECT_EQ(instance.ToCanonicalString(),
+              ReferenceResult(c, /*with_delta=*/true));
+  }
+  // Same instance bytes and counters in either layout.
+  EXPECT_EQ(rendered[0], rendered[1]);
+  EXPECT_EQ(stats[0], stats[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chase, TriggerBattery, ::testing::ValuesIn(kBattery),
+    [](const ::testing::TestParamInfo<BatteryCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Chase, MaxFactsTripsAtTheSameFactCountInBothStorageModes) {
+  // The two-atom head adds two facts per firing, so the cap can be
+  // overshot by one; the trip point is a function of the canonical
+  // firing order. The expected figures are those of the substitution-
+  // based trigger pipeline this one replaced.
+  const char* text =
+      "E(1, 2). E(2, 3). E(3, 4). E(4, 5). E(5, 6). E(6, 7).\n"
+      "T(X, Y) :- E(X, Y).\n"
+      "T(X, Z), Hop(X, Y, Z) :- T(X, Y), E(Y, Z).\n"
+      "Flag(\"long\") :- Hop(X, Y, Z), Hop(Z, U, W).\n";
+  struct Expect {
+    uint64_t max_facts;
+    size_t total;
+    uint64_t facts_added;
+    uint64_t firings;
+    uint64_t rounds;
+  };
+  const Expect kExpect[] = {{6, 7, 1, 1, 1},     {9, 10, 4, 4, 1},
+                            {14, 16, 10, 8, 1},  {21, 22, 16, 11, 1},
+                            {30, 31, 25, 16, 2}};
+  for (const Expect& e : kExpect) {
+    std::string rendered;
+    for (StorageMode mode : {StorageMode::kColumnar, StorageMode::kRow}) {
+      SCOPED_TRACE(std::to_string(e.max_facts) + " " +
+                   StorageModeToString(mode));
+      auto p = Parser::ParseProgram(text);
+      ASSERT_TRUE(p.ok()) << p.status();
+      Instance instance = Instance::FromProgram(*p, mode);
+      ChaseOptions options;
+      options.max_facts = e.max_facts;
+      ChaseStats stats;
+      ASSERT_TRUE(Chase::Run(*p, &instance, options, &stats).ok());
+      EXPECT_EQ(stats.stop, ChaseStop::kFactLimit);
+      EXPECT_EQ(stats.completeness, Completeness::kTruncated);
+      EXPECT_EQ(instance.TotalFacts(), e.total);
+      EXPECT_EQ(stats.facts_added, e.facts_added);
+      EXPECT_EQ(stats.tgd_firings, e.firings);
+      EXPECT_EQ(stats.rounds, e.rounds);
+      if (rendered.empty()) {
+        rendered = instance.ToString();
+      } else {
+        EXPECT_EQ(instance.ToString(), rendered);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -369,5 +369,89 @@ TEST(Instance, StatisticsIdenticalAcrossStorageModes) {
   }
 }
 
+// The flat dedup index under total key collision (mask 0 files every row
+// under one key): only full-row verification tells rows apart.
+class CollidingDedup : public ::testing::TestWithParam<StorageMode> {};
+
+TEST_P(CollidingDedup, DuplicateInsertKeepsTheLowerLevel) {
+  FactTable t(2, GetParam());
+  t.set_hash_mask_for_test(0);
+  Term a[2] = {Term::Constant(1), Term::Constant(2)};
+  Term b[2] = {Term::Constant(2), Term::Constant(1)};
+  EXPECT_TRUE(t.Insert(a, 4));
+  EXPECT_TRUE(t.Insert(b, 2));
+  EXPECT_FALSE(t.Insert(a, 6));
+  EXPECT_EQ(t.Level(0), 4u);
+  EXPECT_FALSE(t.Insert(a, 1));
+  EXPECT_EQ(t.Level(0), 1u);
+  EXPECT_EQ(t.Level(1), 2u);
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST_P(CollidingDedup, ContainsFindsTheRow) {
+  FactTable t(3, GetParam());
+  t.set_hash_mask_for_test(0);
+  Term rows[4][3] = {
+      {Term::Constant(1), Term::Constant(2), Term::Constant(3)},
+      {Term::Constant(1), Term::Constant(2), Term::Null(3)},
+      {Term::Constant(3), Term::Constant(2), Term::Constant(1)},
+      {Term::Null(1), Term::Constant(2), Term::Constant(3)}};
+  for (auto& row : rows) EXPECT_TRUE(t.Insert(row, 0));
+  for (auto& row : rows) EXPECT_TRUE(t.Contains(row));
+  Term absent[3] = {Term::Constant(1), Term::Constant(3), Term::Constant(2)};
+  EXPECT_FALSE(t.Contains(absent));
+}
+
+TEST_P(CollidingDedup, CloneThenInsertLeavesTheOriginalUnchanged) {
+  Instance original(std::make_shared<Vocabulary>(), GetParam());
+  FactTable* table = original.MutableTable(/*pred=*/7, 2);
+  table->set_hash_mask_for_test(0);
+  Term a[2] = {Term::Constant(1), Term::Constant(2)};
+  Term b[2] = {Term::Constant(3), Term::Constant(4)};
+  ASSERT_TRUE(table->Insert(a, 0));
+
+  Instance copy = original.Snapshot();
+  ASSERT_TRUE(copy.SharesTableWith(original, 7));
+  EXPECT_TRUE(copy.MutableTable(7, 2)->Insert(b, 1));  // clones first
+  EXPECT_FALSE(copy.SharesTableWith(original, 7));
+  EXPECT_FALSE(copy.MutableTable(7, 2)->Insert(a, 0));
+
+  const FactTable* orig = original.Table(7);
+  EXPECT_EQ(orig->size(), 1u);
+  EXPECT_TRUE(orig->Contains(a));
+  EXPECT_FALSE(orig->Contains(b));
+  EXPECT_EQ(copy.Table(7)->size(), 2u);
+  EXPECT_TRUE(copy.Table(7)->Contains(b));
+}
+
+TEST_P(CollidingDedup, GrowsAcrossSeveralRehashes) {
+  for (uint64_t mask : {uint64_t{0}, ~uint64_t{0}}) {
+    FactTable t(2, GetParam());
+    t.set_hash_mask_for_test(mask);
+    // 16 slots at first, doubled at half load: 300 rows rehash five
+    // times.
+    const uint32_t n = 300;
+    for (uint32_t i = 0; i < n; ++i) {
+      Term row[2] = {Term::Constant(i % 17), Term::Constant(i)};
+      ASSERT_TRUE(t.Insert(row, i));
+    }
+    ASSERT_EQ(t.size(), n);
+    for (uint32_t i = 0; i < n; ++i) {
+      Term row[2] = {Term::Constant(i % 17), Term::Constant(i)};
+      EXPECT_FALSE(t.Insert(row, n)) << i;
+      EXPECT_EQ(t.Level(i), i);
+      Term shifted[2] = {Term::Constant((i + 1) % 17), Term::Constant(i)};
+      EXPECT_FALSE(t.Contains(shifted)) << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, CollidingDedup,
+                         ::testing::Values(StorageMode::kColumnar,
+                                           StorageMode::kRow),
+                         [](const ::testing::TestParamInfo<StorageMode>& i) {
+                           return std::string(StorageModeToString(i.param));
+                         });
+
 }  // namespace
 }  // namespace mdqa::datalog

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -115,6 +116,84 @@ TEST(ServeDurability, RestartResumesAtCommittedGenerationWithoutRechase) {
   // string compare is legitimate.
   EXPECT_EQ(clean->body, clean_before);
 
+  (*server)->Shutdown();
+  EXPECT_TRUE((*server)->DrainStatus().ok()) << (*server)->DrainStatus();
+}
+
+/// Every file under `dir` of `env`, by name, with its persisted bytes.
+std::map<std::string, std::string> DirContents(storage::FaultyEnv* env,
+                                               const std::string& dir) {
+  std::map<std::string, std::string> out;
+  auto names = env->ListDir(dir);
+  EXPECT_TRUE(names.ok()) << names.status();
+  if (!names.ok()) return out;
+  for (const std::string& name : *names) {
+    auto data = env->ReadFile(dir + "/" + name, 1u << 30);
+    EXPECT_TRUE(data.ok()) << data.status();
+    if (data.ok()) out[name] = std::move(*data);
+  }
+  return out;
+}
+
+TEST(ServeDurability, DrainedRestartsWriteNoStartupCheckpoint) {
+  FaultInjector faults;
+  storage::FaultyEnv env(/*seed=*/3, &faults);
+  const std::string insert =
+      R"({"relation": "Measurements",)"
+      R"( "insert": [["Sep/9-23:50", "Nick Cave", "36.9"]]})";
+  {
+    auto store = storage::OpenDiskKbStore(&env, "db");
+    ASSERT_TRUE(store.ok()) << store.status();
+    auto server = StartHospital(DurableOptions(store->get()));
+    ASSERT_TRUE(server.ok()) << server.status();
+    auto resp = Call((*server)->port(), "POST", "/update", insert);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->status, 200) << resp->body;
+    (*server)->Shutdown();
+    ASSERT_TRUE((*server)->DrainStatus().ok()) << (*server)->DrainStatus();
+  }
+  const std::map<std::string, std::string> drained = DirContents(&env, "db");
+  ASSERT_FALSE(drained.empty());
+
+  // A drained restart recovers the drain checkpoint and replays nothing:
+  // it has nothing to fold, so it must not write a checkpoint. Every
+  // rename (the checkpoint commit step) fails while the server starts.
+  for (int restart = 0; restart < 2; ++restart) {
+    auto store = storage::OpenDiskKbStore(&env, "db");
+    ASSERT_TRUE(store.ok()) << store.status();
+    faults.Arm("fs.rename", 1, Status::Internal("unexpected checkpoint"),
+               FaultInjector::kAlways);
+    auto server = StartHospital(DurableOptions(store->get()));
+    faults.Reset();
+    ASSERT_TRUE(server.ok()) << server.status();
+    EXPECT_EQ((*server)->base_generation(), 2u);
+    EXPECT_TRUE((*server)->recovery_degradations().empty());
+    (*server)->Shutdown();
+    EXPECT_TRUE((*server)->DrainStatus().ok()) << (*server)->DrainStatus();
+    EXPECT_EQ(DirContents(&env, "db"), drained) << "restart " << restart;
+  }
+
+  // The resumed server still commits: its WAL is the recovered one.
+  {
+    auto store = storage::OpenDiskKbStore(&env, "db");
+    ASSERT_TRUE(store.ok()) << store.status();
+    auto server = StartHospital(DurableOptions(store->get()));
+    ASSERT_TRUE(server.ok()) << server.status();
+    auto resp = Call((*server)->port(), "POST", "/update",
+                     R"({"relation": "Measurements",)"
+                     R"( "delete": [["Sep/9-23:50", "Nick Cave", "36.9"]]})");
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->status, 200) << resp->body;
+    EXPECT_EQ((*server)->generation(), 3u);
+    EXPECT_EQ((*server)->metrics().wal_appends.load(), 1u);
+  }
+  // Crash-style restart (no drain): the committed batch is replayed from
+  // the recovered WAL.
+  auto store = storage::OpenDiskKbStore(&env, "db");
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto server = StartHospital(DurableOptions(store->get()));
+  ASSERT_TRUE(server.ok()) << server.status();
+  EXPECT_EQ((*server)->generation(), 3u);
   (*server)->Shutdown();
   EXPECT_TRUE((*server)->DrainStatus().ok()) << (*server)->DrainStatus();
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,6 +225,28 @@ TEST(AssessmentServer, HealthReportAndRouting) {
   EXPECT_EQ(Call(port, "POST", "/query", "{\"no\": \"query\"}")->status,
             400);
 
+  server->Shutdown();
+  EXPECT_TRUE(server->DrainStatus().ok()) << server->DrainStatus();
+}
+
+TEST(AssessmentServer, FreshStartPublishesTheStandaloneReport) {
+  // Start chases once and publishes the session its own Assess
+  // materialized; the report must be the one a standalone run renders.
+  auto context =
+      scenarios::BuildHospitalContext(scenarios::HospitalOptions{});
+  ASSERT_TRUE(context.ok()) << context.status();
+  quality::Assessor assessor(&*context);
+  std::optional<quality::PreparedContext> session;
+  auto standalone = assessor.Assess(quality::AssessOptions{}, &session);
+  ASSERT_TRUE(standalone.ok()) << standalone.status();
+  ASSERT_TRUE(session.has_value());
+  EXPECT_EQ(session->chase_stats().completeness, Completeness::kComplete);
+
+  auto server = StartHospital(ServerOptions{});
+  EXPECT_EQ(server->CurrentReportJson(), standalone->ToJson());
+  auto report = Call(server->port(), "GET", "/report", "");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_NE(report->body.find(standalone->ToJson()), std::string::npos);
   server->Shutdown();
   EXPECT_TRUE(server->DrainStatus().ok()) << server->DrainStatus();
 }
