@@ -48,49 +48,7 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
 
 datalog::InstanceStatistics CostModel::CollectEdbStats(
     const Program& program) {
-  // Computed straight off the fact list. Building a throwaway Instance
-  // (dictionary columns, dedup tables, postings) just to read row and
-  // distinct counts dominated engine-selection time on large EDBs. The
-  // numbers must equal Instance::FromProgram(program).CollectStatistics()
-  // exactly — duplicate facts count once, per-position distincts are
-  // over the deduplicated rows — because incremental and from-scratch
-  // sessions compare predicted costs byte-for-byte.
-  datalog::InstanceStatistics stats;
-  std::unordered_map<uint32_t, std::vector<const Atom*>> by_pred;
-  for (const Atom& f : program.facts()) by_pred[f.predicate].push_back(&f);
-  stats.tables.reserve(by_pred.size());
-  std::vector<std::vector<uint64_t>> rows;
-  std::vector<uint64_t> col;
-  for (const auto& [pred, facts] : by_pred) {
-    const size_t arity = facts.front()->arity();
-    // Term::Key() is injective, so key-vector equality is row equality:
-    // sort + unique is an exact dedup, no hashing involved.
-    rows.clear();
-    rows.reserve(facts.size());
-    for (const Atom* a : facts) {
-      std::vector<uint64_t> key;
-      key.reserve(arity);
-      for (Term t : a->terms) key.push_back(t.Key());
-      rows.push_back(std::move(key));
-    }
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    datalog::TableStatistics t;
-    t.rows = rows.size();
-    t.distinct.reserve(arity);
-    for (size_t i = 0; i < arity; ++i) {
-      col.clear();
-      col.reserve(rows.size());
-      for (const std::vector<uint64_t>& r : rows) col.push_back(r[i]);
-      std::sort(col.begin(), col.end());
-      t.distinct.push_back(static_cast<uint64_t>(
-          std::unique(col.begin(), col.end()) - col.begin()));
-    }
-    stats.total_facts += t.rows;
-    stats.max_rows = std::max(stats.max_rows, t.rows);
-    stats.tables.emplace(pred, std::move(t));
-  }
-  return stats;
+  return datalog::Instance::FromProgram(program).CollectStatistics();
 }
 
 CostModel::CostModel(const Program& program,

@@ -44,7 +44,8 @@ class CostModel {
             datalog::InstanceStatistics edb_stats);
 
   /// Statistics of the program's own extensional facts (order-independent
-  /// aggregates: row counts and per-position distinct counts).
+  /// aggregates: row counts and per-position distinct counts):
+  /// `Instance::FromProgram(program).CollectStatistics()`.
   static datalog::InstanceStatistics CollectEdbStats(
       const datalog::Program& program);
 

@@ -480,8 +480,20 @@ Result<Program> MdOntology::Compile() const {
 }
 
 Result<OntologyProperties> MdOntology::Analyze() const {
-  MDQA_ASSIGN_OR_RETURN(Program program, Compile());
-  datalog::ProgramAnalysis analysis(program);
+  // The classification reads only the rules (ProgramAnalysis looks at
+  // the TGDs alone), so the dimension and categorical facts Compile()
+  // would emit are left out.
+  Program rules(vocab_);
+  for (const DimensionalRule& dr : dimensional_rules_) {
+    MDQA_RETURN_IF_ERROR(rules.AddRule(dr.rule));
+  }
+  for (const Rule& c : constraints_) {
+    MDQA_RETURN_IF_ERROR(rules.AddRule(c));
+  }
+  for (const Rule& r : raw_.rules()) {
+    MDQA_RETURN_IF_ERROR(rules.AddRule(r));
+  }
+  datalog::ProgramAnalysis analysis(rules);
   OntologyProperties props;
   props.weakly_sticky = analysis.IsWeaklySticky();
   props.sticky = analysis.IsSticky();

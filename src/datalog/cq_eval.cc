@@ -1,6 +1,7 @@
 #include "datalog/cq_eval.h"
 
 #include <algorithm>
+#include <span>
 
 #include "datalog/join.h"
 
@@ -171,12 +172,14 @@ void Recurse(EvalState* s, size_t remaining) {
     // reference is safe; the chase only mutates between evaluations.
     // Columnar tables with a multi-segment chain materialize the gather.
     std::vector<uint32_t> scratch;
-    const std::vector<uint32_t>* rows = table->ProbeRef(probe_pos, probe_term);
-    if (rows == nullptr) {
+    std::span<const uint32_t> rows;
+    if (const auto ref = table->ProbeRef(probe_pos, probe_term)) {
+      rows = *ref;
+    } else {
       scratch = table->Probe(probe_pos, probe_term);
-      rows = &scratch;
+      rows = scratch;
     }
-    for (uint32_t r : *rows) {
+    for (uint32_t r : rows) {
       if (s->stop || !s->error.ok()) return;
       if (!level_ok(r)) continue;
       TryRow(s, idx, table->Row(r), remaining);

@@ -81,7 +81,9 @@ bool FactTable::Insert(const Term* row, uint32_t level) {
 }
 
 std::vector<uint32_t> FactTable::Probe(size_t pos, Term t) const {
-  if (const std::vector<uint32_t>* rows = ProbeRef(pos, t)) return *rows;
+  if (const auto rows = ProbeRef(pos, t)) {
+    return std::vector<uint32_t>(rows->begin(), rows->end());
+  }
   // Columnar multi-segment gather: per-segment postings are ascending and
   // segment row ranges are disjoint in base order, so concatenation with
   // the base offset is globally ascending without a merge.
@@ -97,37 +99,34 @@ std::vector<uint32_t> FactTable::Probe(size_t pos, Term t) const {
   return out;
 }
 
-const std::vector<uint32_t>* FactTable::ProbeRef(size_t pos, Term t) const {
-  static const std::vector<uint32_t> kEmpty;
+std::optional<std::span<const uint32_t>> FactTable::ProbeRef(size_t pos,
+                                                             Term t) const {
   if (mode_ == StorageMode::kRow) {
     const auto& m = index_[pos];
     auto it = m.find(TermHash{}(t) & hash_mask_);
-    if (it == m.end()) return &kEmpty;
+    if (it == m.end()) return std::span<const uint32_t>();
     // Verified probe: only the bucket entry whose term equals `t` counts
     // (hash collisions share a bucket).
     for (const auto& [term, rows] : it->second) {
-      if (term == t) return &rows;
+      if (term == t) return std::span<const uint32_t>(rows);
     }
-    return &kEmpty;
+    return std::span<const uint32_t>();
   }
   // Columnar: the postings of a single segment based at row 0 are the
   // global row list verbatim; anything else needs an offset gather.
-  const std::vector<uint32_t>* single = nullptr;
+  std::optional<std::span<const uint32_t>> single;
   for (size_t k = 0; k < NumSegments(); ++k) {
     const SegmentView view = SegmentAt(k);
     const uint32_t code = view.segment->column(pos).CodeOf(t);
     if (code == Column::kNoCode) continue;
-    if (single != nullptr || view.base != 0) return nullptr;
-    single = &view.segment->column(pos).Postings(code);
+    if (single.has_value() || view.base != 0) return std::nullopt;
+    single = view.segment->column(pos).Postings(code);
   }
-  return single == nullptr ? &kEmpty : single;
+  return single.value_or(std::span<const uint32_t>());
 }
 
 size_t FactTable::ProbeCount(size_t pos, Term t) const {
-  if (mode_ == StorageMode::kRow) {
-    const std::vector<uint32_t>* rows = ProbeRef(pos, t);
-    return rows == nullptr ? 0 : rows->size();
-  }
+  if (mode_ == StorageMode::kRow) return ProbeRef(pos, t)->size();
   size_t n = 0;
   for (size_t k = 0; k < NumSegments(); ++k) {
     const SegmentView view = SegmentAt(k);

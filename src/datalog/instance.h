@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,12 +93,12 @@ class FactTable {
   /// segments); hot paths should prefer `ProbeRef`/`ProbeCount`.
   std::vector<uint32_t> Probe(size_t pos, Term t) const;
 
-  /// Zero-copy variant: a pointer to the (verified) row list when the
-  /// layout holds one contiguously — row mode always, columnar mode only
-  /// when the term lives entirely in a single segment's postings with no
-  /// offset (i.e. the first segment). nullptr means "materialize via
-  /// Probe".
-  const std::vector<uint32_t>* ProbeRef(size_t pos, Term t) const;
+  /// Zero-copy variant: the (verified) row list when the layout holds one
+  /// contiguously — row mode always, columnar mode only when the term
+  /// lives entirely in a single segment's postings with no offset (i.e.
+  /// the first segment). nullopt means "materialize via Probe". The span
+  /// is valid until the next `Insert` into this table.
+  std::optional<std::span<const uint32_t>> ProbeRef(size_t pos, Term t) const;
 
   /// Number of rows `Probe(pos, t)` would return, without materializing.
   size_t ProbeCount(size_t pos, Term t) const;

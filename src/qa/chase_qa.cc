@@ -1,5 +1,7 @@
 #include "qa/chase_qa.h"
 
+#include <unordered_map>
+
 namespace mdqa::qa {
 
 using datalog::Chase;
@@ -69,26 +71,27 @@ Result<ChaseStats> ChaseQa::Update(const std::vector<datalog::Atom>& inserts,
   // Deletions are non-monotone: no frontier-seeded restart can retract
   // the consequences of a removed fact. Rebuild the extensional set and
   // re-chase from scratch — exact, and recorded as a fallback.
-  std::vector<bool> removed(deletes.size(), false);
+  // Each delete maps to whether some extensional fact matched it; every
+  // copy of a matched fact goes.
+  std::unordered_map<datalog::Atom, bool, datalog::AtomHash> removed;
+  removed.reserve(deletes.size());
+  for (const datalog::Atom& d : deletes) removed.emplace(d, false);
   Program next(program_.vocab());
   for (const datalog::Rule& r : program_.rules()) {
     MDQA_RETURN_IF_ERROR(next.AddRule(r));
   }
   for (const datalog::Atom& f : program_.facts()) {
-    bool keep = true;
-    for (size_t i = 0; i < deletes.size(); ++i) {
-      if (f == deletes[i]) {
-        removed[i] = true;
-        keep = false;
-        break;
-      }
+    auto it = removed.find(f);
+    if (it != removed.end()) {
+      it->second = true;
+    } else {
+      MDQA_RETURN_IF_ERROR(next.AddFact(f));
     }
-    if (keep) MDQA_RETURN_IF_ERROR(next.AddFact(f));
   }
-  for (size_t i = 0; i < deletes.size(); ++i) {
-    if (!removed[i]) {
+  for (const datalog::Atom& d : deletes) {
+    if (!removed.at(d)) {
       return Status::NotFound("cannot delete " +
-                              program_.vocab()->AtomToString(deletes[i]) +
+                              program_.vocab()->AtomToString(d) +
                               ": not an extensional fact");
     }
   }

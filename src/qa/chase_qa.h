@@ -60,7 +60,9 @@ class ChaseQa {
   /// no deletions this is `Extend`. Deletions are non-monotone, so they
   /// rebuild the extensional set and re-chase from scratch — an exact
   /// result, recorded as a fallback in the returned stats. Each deleted
-  /// atom must currently be an extensional fact (kNotFound otherwise).
+  /// atom must currently be an extensional fact (kNotFound otherwise);
+  /// deleting a fact removes every copy of it, and naming it twice in
+  /// `deletes` is the same as naming it once.
   Result<datalog::ChaseStats> Update(const std::vector<datalog::Atom>& inserts,
                                      const std::vector<datalog::Atom>& deletes);
 

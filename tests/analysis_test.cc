@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/cost_model.h"
 #include "datalog/parser.h"
 
 namespace mdqa::datalog {
@@ -268,6 +269,33 @@ TEST(AnalysisReport, RendersViolations) {
   EXPECT_NE(ProgramAnalysis(*tc).Report(*tc->vocab())
                 .find("breaks stickiness only"),
             std::string::npos);
+}
+
+// EDB statistics count each distinct fact once, give an arity-0 table
+// one row and no positions, and see only the extensional rows of a
+// predicate that is also a rule head.
+TEST(CostModelEdbStats, PinnedOnDuplicatesArityZeroAndDerivedHeads) {
+  auto p = Parser::ParseProgram(
+      "E(\"a\", \"x\"). E(\"a\", \"x\"). E(\"b\", \"x\"). "
+      "E(\"c\", \"y\").\n"
+      "Flag(). Flag().\n"
+      "T(\"a\"). T(\"a\").\n"
+      "T(X) :- E(X, Y).\n");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const InstanceStatistics stats = analysis::CostModel::CollectEdbStats(*p);
+  const Vocabulary& vocab = *p->vocab();
+  ASSERT_EQ(stats.tables.size(), 3u);
+  const TableStatistics& e = stats.tables.at(vocab.FindPredicate("E"));
+  EXPECT_EQ(e.rows, 3u);
+  EXPECT_EQ(e.distinct, (std::vector<uint64_t>{3, 2}));
+  const TableStatistics& flag = stats.tables.at(vocab.FindPredicate("Flag"));
+  EXPECT_EQ(flag.rows, 1u);
+  EXPECT_TRUE(flag.distinct.empty());
+  const TableStatistics& t = stats.tables.at(vocab.FindPredicate("T"));
+  EXPECT_EQ(t.rows, 1u);
+  EXPECT_EQ(t.distinct, (std::vector<uint64_t>{1}));
+  EXPECT_EQ(stats.total_facts, 5u);
+  EXPECT_EQ(stats.max_rows, 3u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "datalog/parser.h"
 
 namespace mdqa::qa {
@@ -153,6 +156,57 @@ TEST(ChaseQa, EmptyProgramAnswersOnEdb) {
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(qa->Answers(*q)->size(), 2u);
   EXPECT_EQ(qa->stats().rounds, 1u);
+}
+
+// A 500-row deletion batch re-chases to exactly what a fresh chase of
+// the remaining facts derives; deleting a row that is not an extensional
+// fact fails with NotFound and leaves the engine untouched.
+TEST(ChaseQa, LargeDeletionMatchesFreshChaseOfTheRest) {
+  const std::string rules =
+      "R(Y) :- E(X, Y).\n"
+      "P(X, Z) :- E(X, Y), G(Y, Z).\n";
+  std::string all = rules;
+  std::string kept = rules;
+  for (int k = 0; k < 7; ++k) {
+    const std::string g =
+        "G(" + std::to_string(k) + ", " + std::to_string(k % 3) + ").\n";
+    all += g;
+    kept += g;
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::string e =
+        "E(" + std::to_string(i) + ", " + std::to_string(i % 7) + ").\n";
+    all += e;
+    if (i % 2 == 0) kept += e;
+  }
+  Program p = Parse(all);
+  auto qa = ChaseQa::Create(p);
+  ASSERT_TRUE(qa.ok()) << qa.status();
+  datalog::Vocabulary* vocab = p.mutable_vocab();
+  const uint32_t e = vocab->FindPredicate("E");
+  std::vector<datalog::Atom> deletes;
+  for (int i = 1; i < 1000; i += 2) {
+    deletes.emplace_back(e, std::vector<datalog::Term>{vocab->Int(i),
+                                                       vocab->Int(i % 7)});
+  }
+  ASSERT_EQ(deletes.size(), 500u);
+  auto stats = qa->Update({}, deletes);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_TRUE(stats->extend_fallback);
+
+  auto fresh = ChaseQa::Create(Parse(kept));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const std::string expected = fresh->instance().ToString();
+  EXPECT_EQ(qa->instance().ToString(), expected);
+  EXPECT_EQ(qa->program().facts().size(), 7u + 500u);
+
+  // Row 1 is gone now; deleting it again names no extensional fact.
+  const datalog::Atom missing(e, {vocab->Int(1), vocab->Int(1)});
+  const datalog::Atom present(e, {vocab->Int(2), vocab->Int(2)});
+  auto again = qa->Update({}, {present, missing});
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(qa->instance().ToString(), expected);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,10 @@
 
 namespace mdqa::datalog {
 namespace {
+
+std::vector<uint32_t> Rows(std::span<const uint32_t> rows) {
+  return std::vector<uint32_t>(rows.begin(), rows.end());
+}
 
 // ---------------------------------------------------------------- Column
 
@@ -32,8 +37,8 @@ TEST(Column, DictEncodesAndPostsAscending) {
   EXPECT_EQ(c.CodeOf(a), 0u);
   EXPECT_EQ(c.CodeOf(b), 1u);
   EXPECT_EQ(c.CodeOf(Term::Constant(99)), Column::kNoCode);
-  EXPECT_EQ(c.Postings(0), (std::vector<uint32_t>{0, 2}));
-  EXPECT_EQ(c.Postings(1), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(Rows(c.Postings(0)), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(Rows(c.Postings(1)), (std::vector<uint32_t>{1}));
   EXPECT_EQ(c.TermAt(2), a);
   EXPECT_EQ(c.TermOfCode(1), b);
   EXPECT_GT(c.MemoryEstimateBytes(), 0u);
@@ -59,13 +64,57 @@ TEST(Column, TotalHashCollisionStillResolvesExactly) {
   EXPECT_EQ(c.DistinctTerms(), static_cast<size_t>(kTerms));
   for (int i = 0; i < kTerms; ++i) {
     EXPECT_EQ(c.CodeOf(Term::Constant(i)), static_cast<uint32_t>(i));
-    EXPECT_EQ(c.Postings(i),
+    EXPECT_EQ(Rows(c.Postings(i)),
               (std::vector<uint32_t>{static_cast<uint32_t>(i),
                                      static_cast<uint32_t>(i + kTerms)}));
   }
   EXPECT_EQ(c.CodeOf(Term::Constant(kTerms)), Column::kNoCode);
   // Nulls and constants with colliding masked hashes stay distinct too.
   EXPECT_EQ(c.CodeOf(Term::Null(0)), Column::kNoCode);
+}
+
+// Codes go from seen-once (row inline) to repeated (a pool block that is
+// relocated as it fills, its old block recycled for other codes) at
+// uneven rates; under total collision every code's postings must still
+// list exactly its rows, ascending, after every append.
+TEST(Column, PromotedCodesKeepAscendingPostingsUnderCollision) {
+  Column c;
+  c.set_hash_mask_for_test(0);
+  constexpr int kTerms = 24;
+  std::vector<std::vector<uint32_t>> expected(kTerms);
+  uint32_t row = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < kTerms; ++i) {
+      if (round % (i % 6 + 1) != 0) continue;
+      c.Append(Term::Constant(i));
+      expected[i].push_back(row++);
+      const uint32_t code = c.CodeOf(Term::Constant(i));
+      ASSERT_NE(code, Column::kNoCode);
+      ASSERT_EQ(Rows(c.Postings(code)), expected[i]) << "term " << i;
+    }
+  }
+  for (int i = 0; i < kTerms; ++i) {
+    const uint32_t code = c.CodeOf(Term::Constant(i));
+    EXPECT_EQ(code, static_cast<uint32_t>(i));
+    EXPECT_EQ(Rows(c.Postings(code)), expected[i]) << "term " << i;
+    EXPECT_TRUE(std::is_sorted(expected[i].begin(), expected[i].end()));
+  }
+  EXPECT_EQ(c.size(), row);
+}
+
+TEST(Column, MemoryEstimateGrowsWithRows) {
+  Column c;
+  uint64_t last = c.MemoryEstimateBytes();
+  for (int step = 0; step < 3; ++step) {
+    for (int i = 0; i < 1000; ++i) {
+      c.Append(Term::Constant(step * 1000 + i % 700));
+    }
+    const uint64_t now = c.MemoryEstimateBytes();
+    EXPECT_GT(now, last) << "step " << step;
+    last = now;
+  }
+  // 3000 rows of 4-byte codes at the very least.
+  EXPECT_GE(last, 3000u * sizeof(uint32_t));
 }
 
 // --------------------------------------------------------------- Segment
@@ -139,11 +188,51 @@ TEST(FactTableColumnar, ProbeAndDistinctMatchRowMode) {
     }
   }
   // Row mode always exposes a zero-copy list; single-segment columnar too.
-  EXPECT_NE(row.ProbeRef(0, Term::Constant(1)), nullptr);
-  EXPECT_NE(col.ProbeRef(0, Term::Constant(1)), nullptr);
+  EXPECT_TRUE(row.ProbeRef(0, Term::Constant(1)).has_value());
+  EXPECT_TRUE(col.ProbeRef(0, Term::Constant(1)).has_value());
   // An absent term yields an empty (but non-null) reference.
-  ASSERT_NE(row.ProbeRef(0, Term::Constant(777)), nullptr);
+  ASSERT_TRUE(row.ProbeRef(0, Term::Constant(777)).has_value());
   EXPECT_TRUE(row.ProbeRef(0, Term::Constant(777))->empty());
+}
+
+// A table whose rows all live in its first segment hands out the
+// column's own postings — repeated and seen-once terms alike — without
+// copying them.
+TEST(FactTableColumnar, SingleSegmentProbeRefIsZeroCopy) {
+  FactTable t(2);
+  for (int i = 0; i < 20; ++i) {
+    Term r[2] = {Term::Constant(i % 4), Term::Constant(i)};
+    t.Insert(r, 0);
+  }
+  ASSERT_EQ(t.NumSegments(), 1u);
+  const Column& col0 = t.SegmentAt(0).segment->column(0);
+  const Column& col1 = t.SegmentAt(0).segment->column(1);
+  const auto repeated = t.ProbeRef(0, Term::Constant(3));
+  ASSERT_TRUE(repeated.has_value());
+  EXPECT_EQ(repeated->data(),
+            col0.Postings(col0.CodeOf(Term::Constant(3))).data());
+  EXPECT_EQ(Rows(*repeated), (std::vector<uint32_t>{3, 7, 11, 15, 19}));
+  const auto once = t.ProbeRef(1, Term::Constant(5));
+  ASSERT_TRUE(once.has_value());
+  EXPECT_EQ(once->data(),
+            col1.Postings(col1.CodeOf(Term::Constant(5))).data());
+  EXPECT_EQ(Rows(*once), (std::vector<uint32_t>{5}));
+}
+
+TEST(FactTableColumnar, MemoryEstimateGrowsWithRows) {
+  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
+    FactTable t(2, mode);
+    uint64_t last = t.MemoryEstimateBytes();
+    for (int step = 0; step < 3; ++step) {
+      for (int i = 0; i < 500; ++i) {
+        Term r[2] = {Term::Constant(step * 500 + i), Term::Constant(i % 9)};
+        t.Insert(r, 0);
+      }
+      const uint64_t now = t.MemoryEstimateBytes();
+      EXPECT_GT(now, last) << StorageModeToString(mode) << " step " << step;
+      last = now;
+    }
+  }
 }
 
 // Satellite regression: force total collision in every hash-keyed probe
@@ -202,7 +291,7 @@ TEST(FactTableColumnar, SealOverlayBuildsSegmentChain) {
   EXPECT_EQ(t.DistinctAt(0), 2u);  // spans segments without double count
   EXPECT_EQ(t.DistinctAt(1), 8u);
   // Multi-segment gathers have no single contiguous list to reference.
-  EXPECT_EQ(t.ProbeRef(0, Term::Constant(0)), nullptr);
+  EXPECT_FALSE(t.ProbeRef(0, Term::Constant(0)).has_value());
   // Sealing the (now non-empty) overlay again grows the chain.
   t.SealOverlay();
   EXPECT_EQ(t.NumSegments(), 3u);

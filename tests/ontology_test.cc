@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "datalog/analysis.h"
 #include "datalog/chase.h"
 #include "datalog/cq_eval.h"
 #include "datalog/parser.h"
+#include "testgen/scenario.h"
 
 namespace mdqa::core {
 namespace {
@@ -261,6 +265,34 @@ TEST(MdOntology, AnalyzeNonSeparableEgd) {
   auto props = ontology->Analyze();
   ASSERT_TRUE(props.ok());
   EXPECT_FALSE(props->separable_egds);
+}
+
+// Analyze classifies from the rules alone; on every generated family
+// it must agree with the analysis of the fully compiled program (facts
+// included).
+TEST(MdOntology, AnalyzeMatchesCompiledProgramAnalysis) {
+  for (testgen::ScenarioFamily family : testgen::kAllScenarioFamilies) {
+    for (uint32_t seed : {0u, 1u}) {
+      SCOPED_TRACE(std::string(testgen::ScenarioFamilyToString(family)) +
+                   " seed " + std::to_string(seed));
+      auto scenario =
+          testgen::ScenarioGenerator::Generate(testgen::SpecFor(family, seed));
+      ASSERT_TRUE(scenario.ok()) << scenario.status();
+      const MdOntology& ontology = scenario->context.ontology();
+      auto program = ontology.Compile();
+      ASSERT_TRUE(program.ok()) << program.status();
+      ASSERT_FALSE(program->facts().empty());
+      const datalog::ProgramAnalysis compiled(*program);
+      auto props = ontology.Analyze();
+      ASSERT_TRUE(props.ok()) << props.status();
+      EXPECT_EQ(props->weakly_sticky, compiled.IsWeaklySticky());
+      EXPECT_EQ(props->sticky, compiled.IsSticky());
+      EXPECT_EQ(props->weakly_acyclic, compiled.IsWeaklyAcyclic());
+      EXPECT_EQ(props->class_name, compiled.ClassName());
+      EXPECT_EQ(props->has_form10,
+                family == testgen::ScenarioFamily::kDisjunctiveDownward);
+    }
+  }
 }
 
 TEST(MdOntology, EndToEndRollupQuery) {
