@@ -1,6 +1,7 @@
 #include "core/md_ontology.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 
 #include "datalog/parser.h"
@@ -27,8 +28,21 @@ const char* NavigationToString(Navigation n) {
   return "?";
 }
 
+namespace {
+
+// One counter for every ontology in the process, so a version value
+// never names two different contents.
+uint64_t NextVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 MdOntology::MdOntology()
-    : vocab_(std::make_shared<datalog::Vocabulary>()), raw_(vocab_) {}
+    : vocab_(std::make_shared<datalog::Vocabulary>()),
+      raw_(vocab_),
+      version_(NextVersion()) {}
 
 const MdOntology::PredInfo* MdOntology::FindPred(uint32_t pred_id) const {
   auto it = pred_info_.find(pred_id);
@@ -36,6 +50,7 @@ const MdOntology::PredInfo* MdOntology::FindPred(uint32_t pred_id) const {
 }
 
 Status MdOntology::AddDimension(md::Dimension dimension) {
+  version_ = NextVersion();
   const std::string& name = dimension.name();
   if (dimension_index_.count(name) > 0) {
     return Status::AlreadyExists("dimension '" + name + "' already added");
@@ -81,6 +96,7 @@ Status MdOntology::AddDimension(md::Dimension dimension) {
 }
 
 Status MdOntology::AddCategoricalRelation(md::CategoricalRelation relation) {
+  version_ = NextVersion();
   const std::string& name = relation.name();
   if (relation_index_.count(name) > 0) {
     return Status::AlreadyExists("categorical relation '" + name +
@@ -375,6 +391,7 @@ Result<DimensionalRule> MdOntology::ClassifyRule(const Rule& rule) const {
 }
 
 Status MdOntology::AddDimensionalRule(const std::string& text) {
+  version_ = NextVersion();
   MDQA_ASSIGN_OR_RETURN(Rule rule, ParseSingleRule(text, vocab_));
   MDQA_ASSIGN_OR_RETURN(DimensionalRule classified, ClassifyRule(rule));
   dimensional_rules_.push_back(std::move(classified));
@@ -432,6 +449,7 @@ Status MdOntology::EmitReferentialConstraints(datalog::Program* program) const {
 }
 
 Status MdOntology::AddDimensionalConstraint(const std::string& text) {
+  version_ = NextVersion();
   MDQA_ASSIGN_OR_RETURN(Rule rule, ParseSingleRule(text, vocab_));
   if (!rule.IsEgd() && !rule.IsConstraint()) {
     return Status::InvalidArgument(
@@ -444,6 +462,7 @@ Status MdOntology::AddDimensionalConstraint(const std::string& text) {
 }
 
 Status MdOntology::AddRawStatements(const std::string& text) {
+  version_ = NextVersion();
   return datalog::Parser::ParseInto(text, &raw_);
 }
 

@@ -69,6 +69,13 @@ class MdOntology {
 
   const std::shared_ptr<datalog::Vocabulary>& vocab() const { return vocab_; }
 
+  /// Mutation stamp: every `Add*` call moves it to a value drawn from one
+  /// process-wide counter, so two ontologies reporting the same version
+  /// hold the same content (a copy shares its source's version until
+  /// either side changes). The assessor keys its carried pre-run gate on
+  /// it, which is how an ontology changed after `Prepare` is re-checked.
+  uint64_t version() const { return version_; }
+
   /// Registers a dimension; its category and edge predicate names must be
   /// globally fresh.
   Status AddDimension(md::Dimension dimension);
@@ -186,6 +193,7 @@ class MdOntology {
   std::vector<DimensionalRule> dimensional_rules_;
   std::vector<datalog::Rule> constraints_;
   datalog::Program raw_;  // contextual extras added via AddRawStatements
+  uint64_t version_;
 };
 
 }  // namespace mdqa::core

@@ -120,7 +120,6 @@ Status Program::AddRule(Rule rule) {
     }
   }
   rules_.push_back(std::move(rule));
-  ++generation_;
   return Status::Ok();
 }
 
@@ -130,7 +129,6 @@ Status Program::AddFact(Atom fact) {
                                    vocab_->AtomToString(fact));
   }
   facts_.push_back(std::move(fact));
-  ++generation_;
   return Status::Ok();
 }
 

@@ -170,18 +170,10 @@ class Program {
   /// Re-parseable listing of rules then facts.
   std::string ToString() const;
 
-  /// Mutation counter: bumped by every successful AddRule/AddFact.
-  /// Caches keyed on a program's content (e.g. PreparedContext's lazy
-  /// EDB statistics) validate against this instead of re-hashing the
-  /// fact list. Counts mutations of THIS object only — a copied program
-  /// starts from the source's current value and the two then diverge.
-  uint64_t generation() const { return generation_; }
-
  private:
   std::shared_ptr<Vocabulary> vocab_;
   std::vector<Rule> rules_;
   std::vector<Atom> facts_;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace mdqa::datalog

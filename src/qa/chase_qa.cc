@@ -15,10 +15,18 @@ using datalog::Term;
 
 Result<ChaseQa> ChaseQa::Create(const Program& program,
                                 const ChaseOptions& options) {
-  Instance instance = Instance::FromProgram(program, options.storage);
-  MDQA_ASSIGN_OR_RETURN(ChaseStats stats,
-                        Chase::Run(program, &instance, options));
-  return ChaseQa(program, options, std::move(instance), stats);
+  return Create(program, options,
+                Instance::FromProgram(program, options.storage));
+}
+
+Result<ChaseQa> ChaseQa::Create(const Program& program,
+                                const ChaseOptions& options, Instance edb) {
+  if (edb.vocab().get() != program.vocab().get()) {
+    return Status::InvalidArgument(
+        "ChaseQa::Create: instance and program must share one vocabulary");
+  }
+  MDQA_ASSIGN_OR_RETURN(ChaseStats stats, Chase::Run(program, &edb, options));
+  return ChaseQa(program, options, std::move(edb), stats);
 }
 
 Result<ChaseQa> ChaseQa::Adopt(Program program, const ChaseOptions& options,

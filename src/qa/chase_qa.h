@@ -24,6 +24,13 @@ class ChaseQa {
       const datalog::Program& program,
       const datalog::ChaseOptions& options = datalog::ChaseOptions());
 
+  /// As above, chasing `edb` — which must be
+  /// `Instance::FromProgram(program, options.storage)`, built by a caller
+  /// that read its statistics first — instead of building it again.
+  static Result<ChaseQa> Create(const datalog::Program& program,
+                                const datalog::ChaseOptions& options,
+                                datalog::Instance edb);
+
   /// Adopts an already-materialized chase result instead of running one —
   /// the checkpoint-restore path (storage/session_image.h): the instance
   /// was rebuilt from a persisted image of a completed chase over exactly

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-
-#include <memory>
 
 #include "analysis/cost_model.h"
 #include "analysis/lint.h"
@@ -18,6 +19,179 @@
 namespace mdqa::quality {
 
 namespace {
+
+using QualityVersionFn = std::function<Result<Relation>(
+    const std::string&, ExecutionBudget*, Status*)>;
+
+// The quality predicates of the context's assessed relations — the goal
+// predicates of the lint gate and of the dead-rule prune.
+std::vector<std::string> QualityPredicates(const QualityContext& context) {
+  std::vector<std::string> out;
+  for (const std::string& rel : context.AssessedRelations()) {
+    Result<std::string> q = context.QualityPredicateOf(rel);
+    if (q.ok()) out.push_back(*q);
+  }
+  return out;
+}
+
+void NoteTruncated(const Status& why, AssessmentReport* report) {
+  report->completeness = Completeness::kTruncated;
+  if (report->interruption.ok()) report->interruption = why;
+}
+
+// The per-relation half shared by Assess and Reassess. Relation i of
+// `names` is copied verbatim from entry `carried[i]` of `previous` when
+// that index is non-negative; otherwise its quality version comes from
+// `quality_version` and is measured against its rows in `database`.
+// Everything merges into `report` in relation order.
+Status AssessRelations(const std::vector<std::string>& names,
+                       const std::vector<int>& carried,
+                       const AssessmentReport* previous,
+                       const Database& database,
+                       const QualityVersionFn& quality_version,
+                       bool parallel_ok, const AssessOptions& opts,
+                       AssessmentReport* report) {
+  // The outcome of one relation's assessment, produced by `assess_one`
+  // without touching any shared report state — so relations can run
+  // concurrently and merge deterministically in relation order below.
+  struct RelationOutcome {
+    Status hard_error;  // non-OK aborts the whole assessment at merge
+    bool computed = false;
+    Status failure;  // degradation status when !computed
+    int attempts = 0;
+    std::optional<QualityMeasures> measures;
+    std::optional<Relation> quality;
+    std::optional<Relation> dirty;
+  };
+  std::vector<RelationOutcome> outcomes(names.size());
+
+  // Fault isolation: each relation computes under its own derived
+  // budget, retrying with escalated counter caps on exhaustion, so a
+  // single runaway quality version degrades to a RelationFailure
+  // instead of sinking the whole report. The derived budget's counters
+  // are private to the relation, which keeps counter-cap kTruncated
+  // outcomes deterministic even when relations run concurrently.
+  auto assess_one = [&](const std::string& name, RelationOutcome* out) {
+    Result<const Relation*> orig = database.GetRelation(name);
+    if (!orig.ok()) {
+      out->hard_error = orig.status();
+      return;
+    }
+    const Relation* original = *orig;
+    Status failure;
+    double scale = 1.0;
+    for (int attempt = 0; attempt <= opts.max_retries;
+         ++attempt, scale *= opts.escalation_factor) {
+      ++out->attempts;
+      ExecutionBudget rb;
+      if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
+      if (opts.fault_injector != nullptr) {
+        rb.set_fault_injector(opts.fault_injector);
+      }
+      if (opts.per_relation_max_facts > 0) {
+        rb.set_max_facts(static_cast<uint64_t>(
+            static_cast<double>(opts.per_relation_max_facts) * scale));
+      }
+      if (opts.per_relation_max_steps > 0) {
+        rb.set_max_steps(static_cast<uint64_t>(
+            static_cast<double>(opts.per_relation_max_steps) * scale));
+      }
+      failure = rb.CheckNow("assessor:relation");
+      if (failure.ok()) {
+        Status interruption;
+        Result<Relation> r = quality_version(name, &rb, &interruption);
+        if (r.ok() && interruption.ok()) {
+          out->quality = std::move(r).value();
+          out->computed = true;
+          break;
+        }
+        // A truncated quality version is a budget trip for this
+        // relation: partial measures would misreport, so retry bigger.
+        failure = r.ok() ? std::move(interruption) : r.status();
+      }
+      if (!ExecutionBudget::IsTruncation(failure)) break;  // hard fault
+      if (failure.code() == StatusCode::kCancelled) break;
+    }
+    if (!out->computed) {
+      out->failure = std::move(failure);
+      return;
+    }
+    Result<QualityMeasures> m = Measure(*original, *out->quality);
+    if (!m.ok()) {
+      out->hard_error = m.status();
+      return;
+    }
+    Result<Relation> dirty = original->Minus(*out->quality);
+    if (!dirty.ok()) {
+      out->hard_error = dirty.status();
+      return;
+    }
+    out->measures = std::move(*m);
+    out->dirty = std::move(*dirty);
+  };
+
+  std::vector<size_t> todo;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (carried[i] < 0) todo.push_back(i);
+  }
+  const bool parallel =
+      opts.pool != nullptr && parallel_ok && todo.size() > 1;
+  if (parallel) {
+    opts.pool->ParallelFor(todo.size(), [&](size_t k) {
+      assess_one(names[todo[k]], &outcomes[todo[k]]);
+    });
+  }
+
+  // Merge in relation order — the report is a pure function of the
+  // per-relation outcomes, so serial and parallel runs render
+  // identically (absent cancellation, see below).
+  size_t total_original = 0;
+  size_t total_common = 0;
+  Status cancelled;  // non-OK once a kCancelled trip stops the run
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (carried[i] >= 0) {
+      const size_t p = static_cast<size_t>(carried[i]);
+      total_original += previous->per_relation[p].original_size;
+      total_common += previous->per_relation[p].common;
+      report->per_relation.push_back(previous->per_relation[p]);
+      report->quality_versions.push_back(previous->quality_versions[p]);
+      report->dirty_tuples.push_back(previous->dirty_tuples[p]);
+      continue;
+    }
+    RelationOutcome& out = outcomes[i];
+    if (!cancelled.ok()) {
+      // Serial contract: relations after a cancellation are not
+      // attempted. A parallel run may have finished some of them
+      // already — completed work is kept, the rest report cancelled.
+      if (!parallel || !out.computed) {
+        report->degraded.push_back(RelationFailure{names[i], cancelled, 0});
+        continue;
+      }
+    } else if (!parallel) {
+      assess_one(names[i], &out);
+    }
+    MDQA_RETURN_IF_ERROR(out.hard_error);
+    if (!out.computed) {
+      NoteTruncated(out.failure, report);
+      if (out.failure.code() == StatusCode::kCancelled) {
+        cancelled = out.failure;
+      }
+      report->degraded.push_back(
+          RelationFailure{names[i], std::move(out.failure), out.attempts});
+      continue;
+    }
+    total_original += out.measures->original_size;
+    total_common += out.measures->common;
+    report->per_relation.push_back(std::move(*out.measures));
+    report->quality_versions.push_back(std::move(*out.quality));
+    report->dirty_tuples.push_back(std::move(*out.dirty));
+  }
+  report->overall_precision =
+      total_original == 0 ? 1.0
+                          : static_cast<double>(total_common) /
+                                static_cast<double>(total_original);
+  return Status::Ok();
+}
 
 // Index of `relation` in the report's parallel vectors, or -1.
 int RelationIndex(const std::vector<QualityMeasures>& per_relation,
@@ -146,6 +320,90 @@ Result<AssessmentReport> Assessor::Assess(qa::Engine engine) const {
   return Assess(options);
 }
 
+Status Assessor::RunGate(const datalog::Program& program,
+                         const datalog::ProgramAnalysis& program_analysis,
+                         const datalog::InstanceStatistics& edb_stats,
+                         const std::vector<std::string>& quality_preds,
+                         const AssessOptions& opts, bool chase_only,
+                         std::shared_ptr<const AssessmentGate>* gate,
+                         AssessmentReport* report) const {
+  // The context-only part is reused while its key matches: the rules are
+  // fixed per session lineage, and the only fact-dependent input of lint
+  // is which predicates hold facts at all.
+  AssessmentGate key;
+  key.ontology_version = context_->ontology().version();
+  key.goal_predicates = quality_preds;
+  for (const auto& [pred, table] : edb_stats.tables) {
+    if (table.rows > 0) key.fact_predicates.push_back(pred);
+  }
+  std::sort(key.fact_predicates.begin(), key.fact_predicates.end());
+  const AssessmentGate* cached = gate->get();
+  if (cached == nullptr ||
+      cached->ontology_version != key.ontology_version ||
+      cached->goal_predicates != key.goal_predicates ||
+      cached->fact_predicates != key.fact_predicates ||
+      (opts.lint_gate && !cached->linted)) {
+    MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
+                          context_->ontology().Analyze());
+    key.program_class = program_analysis.ClassName();
+    key.egds_separable = properties.separable_egds;
+    if (opts.lint_gate) {
+      analysis::DiagnosticBag bag;
+      analysis::LintOptions lint_options;
+      lint_options.min_severity = analysis::Severity::kWarning;
+      lint_options.form_notes = false;
+      lint_options.file = "<context>";
+      lint_options.analysis = &program_analysis;
+      lint_options.goal_predicates = quality_preds;
+      analysis::LintProgram(program, lint_options, &bag);
+      analysis::LintOntology(context_->ontology(), lint_options, &bag);
+      bag.Sort();
+      key.linted = true;
+      key.lint_errors = bag.errors();
+      key.lint_warnings = bag.warnings();
+      key.lint_text = bag.ToText();
+    }
+    key.referential_check = context_->ontology().ValidateReferential();
+    *gate = std::make_shared<const AssessmentGate>(std::move(key));
+  }
+  const AssessmentGate& checked = **gate;
+
+  report->program_class = checked.program_class;
+  // Engine selection runs per generation: the predicted costs price the
+  // current EDB statistics.
+  qa::EngineSelectOptions select_options;
+  select_options.egds_separable = checked.egds_separable;
+  const analysis::CostModel cost_model(program, program_analysis, edb_stats);
+  select_options.cost_model = &cost_model;
+  qa::EngineSelection selection =
+      qa::SelectEngine(program, program_analysis, select_options);
+  report->engine_recommended = selection.engine;
+  report->engine_reason = std::move(selection.reason);
+  report->engine_used = chase_only         ? qa::Engine::kChase
+                        : opts.auto_engine ? report->engine_recommended
+                                           : opts.engine;
+  for (const qa::EngineCandidate& c : selection.candidates) {
+    if (c.engine == report->engine_used) {
+      report->predicted_cost = c.predicted_cost;
+    }
+  }
+
+  if (opts.lint_gate) {
+    report->lint_errors = checked.lint_errors;
+    report->lint_warnings = checked.lint_warnings;
+    report->lint_text = checked.lint_text;
+    if (checked.lint_errors > 0 && !opts.lint_warn_only) {
+      return Status::FailedPrecondition(
+          "lint gate: " + std::to_string(checked.lint_errors) +
+          " error-level finding(s) in the contextual program/ontology "
+          "(set lint_warn_only to proceed anyway):\n" +
+          checked.lint_text);
+    }
+  }
+  report->referential_check = checked.referential_check;
+  return Status::Ok();
+}
+
 Result<AssessmentReport> Assessor::Assess(
     const AssessOptions& opts, std::optional<PreparedContext>* session) const {
   AssessmentReport report;
@@ -153,65 +411,18 @@ Result<AssessmentReport> Assessor::Assess(
   // Pre-run gate: compile and classify the contextual program ONCE —
   // the analysis is shared by the lint gate, the cost-based engine
   // planner, and (through the prepared session) the incremental chase.
+  // The EDB is built once too: its statistics price the engines, and the
+  // chase below materializes on it.
   MDQA_ASSIGN_OR_RETURN(datalog::Program program, context_->BuildProgram());
   auto program_analysis =
       std::make_shared<const datalog::ProgramAnalysis>(program);
-  std::vector<std::string> quality_preds;
-  for (const std::string& rel : context_->AssessedRelations()) {
-    Result<std::string> q = context_->QualityPredicateOf(rel);
-    if (q.ok()) quality_preds.push_back(*q);
-  }
-  qa::Engine engine = opts.engine;
-  {
-    report.program_class = program_analysis->ClassName();
-    MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
-                          context_->ontology().Analyze());
-    qa::EngineSelectOptions select_options;
-    select_options.egds_separable = properties.separable_egds;
-    const analysis::CostModel cost_model(
-        program, *program_analysis,
-        analysis::CostModel::CollectEdbStats(program));
-    select_options.cost_model = &cost_model;
-    qa::EngineSelection selection =
-        qa::SelectEngine(program, *program_analysis, select_options);
-    report.engine_recommended = selection.engine;
-    report.engine_reason = std::move(selection.reason);
-    if (opts.auto_engine) engine = report.engine_recommended;
-    report.engine_used = engine;
-    for (const qa::EngineCandidate& c : selection.candidates) {
-      if (c.engine == engine) report.predicted_cost = c.predicted_cost;
-    }
-
-    if (opts.lint_gate) {
-      analysis::DiagnosticBag bag;
-      analysis::LintOptions lint_options;
-      lint_options.min_severity = analysis::Severity::kWarning;
-      lint_options.form_notes = false;
-      lint_options.file = "<context>";
-      lint_options.analysis = program_analysis.get();
-      lint_options.goal_predicates = quality_preds;
-      analysis::LintProgram(program, lint_options, &bag);
-      analysis::LintOntology(context_->ontology(), lint_options, &bag);
-      bag.Sort();
-      report.lint_errors = bag.errors();
-      report.lint_warnings = bag.warnings();
-      report.lint_text = bag.ToText();
-      if (bag.errors() > 0 && !opts.lint_warn_only) {
-        return Status::FailedPrecondition(
-            "lint gate: " + std::to_string(bag.errors()) +
-            " error-level finding(s) in the contextual program/ontology "
-            "(set lint_warn_only to proceed anyway):\n" +
-            bag.ToText());
-      }
-    }
-  }
-
-  report.referential_check = context_->ontology().ValidateReferential();
-
-  auto note_truncated = [&report](const Status& why) {
-    report.completeness = Completeness::kTruncated;
-    if (report.interruption.ok()) report.interruption = why;
-  };
+  const std::vector<std::string> quality_preds = QualityPredicates(*context_);
+  datalog::Instance edb = datalog::Instance::FromProgram(program, opts.storage);
+  std::shared_ptr<const AssessmentGate> gate;
+  MDQA_RETURN_IF_ERROR(RunGate(program, *program_analysis,
+                               edb.CollectStatistics(), quality_preds, opts,
+                               /*chase_only=*/false, &gate, &report));
+  const qa::Engine engine = report.engine_used;
 
   // One materialization serves both the constraint check and (when the
   // data is consistent and the default engine is in use) every quality
@@ -225,7 +436,8 @@ Result<AssessmentReport> Assessor::Assess(
   // Optional answer-preserving prune: TGDs that provably cannot reach a
   // quality predicate, EGD, constraint, or output predicate are dropped
   // from the *chased* program only — the gate above classified and
-  // linted the program as written.
+  // linted the program as written. Pruning keeps every fact, so the EDB
+  // built above still matches.
   datalog::Program chase_program = std::move(program);
   std::shared_ptr<const datalog::ProgramAnalysis> chase_analysis =
       program_analysis;
@@ -240,8 +452,9 @@ Result<AssessmentReport> Assessor::Assess(
     chase_analysis =
         std::make_shared<const datalog::ProgramAnalysis>(chase_program);
   }
-  Result<PreparedContext> prepared = context_->Prepare(
-      chase_options, std::move(chase_program), std::move(chase_analysis));
+  Result<PreparedContext> prepared =
+      context_->Prepare(chase_options, std::move(chase_program),
+                        std::move(chase_analysis), std::move(edb));
   if (!prepared.ok() &&
       prepared.status().code() != StatusCode::kInconsistent) {
     return prepared.status();  // real failure (parse, validation, ...)
@@ -251,147 +464,29 @@ Result<AssessmentReport> Assessor::Assess(
   report.actual_cost = prepared.ok() ? prepared->statistics().total_facts : 0;
   if (prepared.ok() && prepared->chase_stats().completeness ==
                            Completeness::kTruncated) {
-    note_truncated(prepared->chase_stats().interruption);
+    NoteTruncated(prepared->chase_stats().interruption, &report);
   }
 
+  // The prepared path only reads the shared materialized instance, so its
+  // relations may run concurrently; the other engines rebuild the
+  // contextual program per relation, which mutates the shared Vocabulary.
   const bool use_prepared = prepared.ok() && engine == qa::Engine::kChase;
   const std::vector<std::string> names = context_->AssessedRelations();
-
-  // The outcome of one relation's assessment, produced by `assess_one`
-  // without touching any shared report state — so relations can run
-  // concurrently and merge deterministically in relation order below.
-  struct RelationOutcome {
-    Status hard_error;  // non-OK aborts the whole assessment at merge
-    bool computed = false;
-    Status failure;  // degradation status when !computed
-    int attempts = 0;
-    std::optional<QualityMeasures> measures;
-    std::optional<Relation> quality;
-    std::optional<Relation> dirty;
-  };
-  std::vector<RelationOutcome> outcomes(names.size());
-
-  // Fault isolation: each relation computes under its own derived
-  // budget, retrying with escalated counter caps on exhaustion, so a
-  // single runaway quality version degrades to a RelationFailure
-  // instead of sinking the whole report. The derived budget's counters
-  // are private to the relation, which keeps counter-cap kTruncated
-  // outcomes deterministic even when relations run concurrently.
-  auto assess_one = [&](const std::string& name, RelationOutcome* out) {
-    Result<const Relation*> orig = context_->database().GetRelation(name);
-    if (!orig.ok()) {
-      out->hard_error = orig.status();
-      return;
-    }
-    const Relation* original = *orig;
-    Status failure;
-    double scale = 1.0;
-    for (int attempt = 0; attempt <= opts.max_retries;
-         ++attempt, scale *= opts.escalation_factor) {
-      ++out->attempts;
-      ExecutionBudget rb;
-      if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
-      if (opts.fault_injector != nullptr) {
-        rb.set_fault_injector(opts.fault_injector);
-      }
-      if (opts.per_relation_max_facts > 0) {
-        rb.set_max_facts(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_facts) * scale));
-      }
-      if (opts.per_relation_max_steps > 0) {
-        rb.set_max_steps(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_steps) * scale));
-      }
-      failure = rb.CheckNow("assessor:relation");
-      if (failure.ok()) {
-        Status interruption;
-        Result<Relation> r =
-            use_prepared
-                ? prepared->QualityVersion(name, &rb, &interruption)
-                : context_->ComputeQualityVersion(name, engine, &rb,
-                                                  &interruption);
-        if (r.ok() && interruption.ok()) {
-          out->quality = std::move(r).value();
-          out->computed = true;
-          break;
-        }
-        // A truncated quality version is a budget trip for this
-        // relation: partial measures would misreport, so retry bigger.
-        failure = r.ok() ? std::move(interruption) : r.status();
-      }
-      if (!ExecutionBudget::IsTruncation(failure)) break;  // hard fault
-      if (failure.code() == StatusCode::kCancelled) break;
-    }
-    if (!out->computed) {
-      out->failure = std::move(failure);
-      return;
-    }
-    Result<QualityMeasures> m = Measure(*original, *out->quality);
-    if (!m.ok()) {
-      out->hard_error = m.status();
-      return;
-    }
-    Result<Relation> dirty = original->Minus(*out->quality);
-    if (!dirty.ok()) {
-      out->hard_error = dirty.status();
-      return;
-    }
-    out->measures = std::move(*m);
-    out->dirty = std::move(*dirty);
-  };
-
-  // Fan the relations out across the pool on the prepared path, where
-  // QualityVersion only reads the shared materialized instance. The
-  // other engines rebuild the contextual program per relation, which
-  // mutates the shared Vocabulary — those stay serial.
-  const bool parallel =
-      opts.pool != nullptr && use_prepared && names.size() > 1;
-  if (parallel) {
-    opts.pool->ParallelFor(
-        names.size(), [&](size_t i) { assess_one(names[i], &outcomes[i]); });
-  }
-
-  // Merge in relation order — the report is a pure function of the
-  // per-relation outcomes, so serial and parallel runs render
-  // identically (absent cancellation, see below).
-  size_t total_original = 0;
-  size_t total_common = 0;
-  Status cancelled;  // non-OK once a kCancelled trip stops the run
-  for (size_t i = 0; i < names.size(); ++i) {
-    RelationOutcome& out = outcomes[i];
-    if (!cancelled.ok()) {
-      // Serial contract: relations after a cancellation are not
-      // attempted. A parallel run may have finished some of them
-      // already — completed work is kept, the rest report cancelled.
-      if (!parallel || !out.computed) {
-        report.degraded.push_back(RelationFailure{names[i], cancelled, 0});
-        continue;
-      }
-    } else if (!parallel) {
-      assess_one(names[i], &out);
-    }
-    MDQA_RETURN_IF_ERROR(out.hard_error);
-    if (!out.computed) {
-      note_truncated(out.failure);
-      if (out.failure.code() == StatusCode::kCancelled) {
-        cancelled = out.failure;
-      }
-      report.degraded.push_back(
-          RelationFailure{names[i], std::move(out.failure), out.attempts});
-      continue;
-    }
-    total_original += out.measures->original_size;
-    total_common += out.measures->common;
-    report.per_relation.push_back(std::move(*out.measures));
-    report.quality_versions.push_back(std::move(*out.quality));
-    report.dirty_tuples.push_back(std::move(*out.dirty));
-  }
-  report.overall_precision =
-      total_original == 0 ? 1.0
-                          : static_cast<double>(total_common) /
-                                static_cast<double>(total_original);
+  MDQA_RETURN_IF_ERROR(AssessRelations(
+      names, std::vector<int>(names.size(), -1), /*previous=*/nullptr,
+      context_->database(),
+      [&](const std::string& name, ExecutionBudget* budget,
+          Status* interruption) {
+        return use_prepared ? prepared->QualityVersion(name, budget,
+                                                       interruption)
+                            : context_->ComputeQualityVersion(
+                                  name, engine, budget, interruption);
+      },
+      /*parallel_ok=*/use_prepared, opts, &report));
   if (session != nullptr && use_prepared && !opts.prune_dead_rules &&
       prepared->chase_stats().completeness == Completeness::kComplete) {
+    // The session starts its lineage with the gate checked above.
+    prepared->gate_slot_->gate = std::move(gate);
     *session = std::move(*prepared);
   }
   return report;
@@ -405,71 +500,30 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
 
   // Same pre-run gate as Assess, over the session's (updated) program,
   // reusing the session's shared analysis (the rules never change across
-  // updates) — the report renders byte-identically to a full assessment.
-  // The incremental path always reads the session's materialized
-  // instance, so the engine used is the chase regardless of
+  // updates) and the context-only part its lineage last checked, while
+  // the key still matches — the report renders byte-identically to a
+  // full assessment. The incremental path always reads the session's
+  // materialized instance, so the engine used is the chase regardless of
   // `auto_engine` (the recommendation is still recorded).
-  std::vector<std::string> quality_preds;
-  for (const std::string& rel : context_->AssessedRelations()) {
-    Result<std::string> q = context_->QualityPredicateOf(rel);
-    if (q.ok()) quality_preds.push_back(*q);
-  }
+  const std::vector<std::string> quality_preds = QualityPredicates(*context_);
+  std::shared_ptr<const AssessmentGate> gate;
   {
-    const datalog::ProgramAnalysis& program_analysis = session.analysis();
-    report.program_class = program_analysis.ClassName();
-    MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
-                          context_->ontology().Analyze());
-    qa::EngineSelectOptions select_options;
-    select_options.egds_separable = properties.separable_egds;
-    const analysis::CostModel cost_model(program, program_analysis,
-                                         session.EdbStatistics());
-    select_options.cost_model = &cost_model;
-    qa::EngineSelection selection =
-        qa::SelectEngine(program, program_analysis, select_options);
-    report.engine_recommended = selection.engine;
-    report.engine_reason = std::move(selection.reason);
-    report.engine_used = qa::Engine::kChase;
-    for (const qa::EngineCandidate& c : selection.candidates) {
-      if (c.engine == report.engine_used) {
-        report.predicted_cost = c.predicted_cost;
-      }
-    }
-
-    if (opts.lint_gate) {
-      analysis::DiagnosticBag bag;
-      analysis::LintOptions lint_options;
-      lint_options.min_severity = analysis::Severity::kWarning;
-      lint_options.form_notes = false;
-      lint_options.file = "<context>";
-      lint_options.analysis = &program_analysis;
-      lint_options.goal_predicates = quality_preds;
-      analysis::LintProgram(program, lint_options, &bag);
-      analysis::LintOntology(context_->ontology(), lint_options, &bag);
-      bag.Sort();
-      report.lint_errors = bag.errors();
-      report.lint_warnings = bag.warnings();
-      report.lint_text = bag.ToText();
-      if (bag.errors() > 0 && !opts.lint_warn_only) {
-        return Status::FailedPrecondition(
-            "lint gate: " + std::to_string(bag.errors()) +
-            " error-level finding(s) in the contextual program/ontology "
-            "(set lint_warn_only to proceed anyway):\n" +
-            bag.ToText());
-      }
-    }
+    std::lock_guard<std::mutex> lock(session.gate_slot_->mu);
+    gate = session.gate_slot_->gate;
+  }
+  MDQA_RETURN_IF_ERROR(RunGate(program, session.analysis(),
+                               session.EdbStatistics(), quality_preds, opts,
+                               /*chase_only=*/true, &gate, &report));
+  {
+    std::lock_guard<std::mutex> lock(session.gate_slot_->mu);
+    session.gate_slot_->gate = std::move(gate);
   }
 
-  report.referential_check = context_->ontology().ValidateReferential();
   // The session exists, so its (re-)chase passed the constraint check.
   report.constraint_check = Status::Ok();
   report.actual_cost = session.statistics().total_facts;
-
-  auto note_truncated = [&report](const Status& why) {
-    report.completeness = Completeness::kTruncated;
-    if (report.interruption.ok()) report.interruption = why;
-  };
   if (session.chase_stats().completeness == Completeness::kTruncated) {
-    note_truncated(session.chase_stats().interruption);
+    NoteTruncated(session.chase_stats().interruption, &report);
   }
 
   const std::vector<std::string> names = context_->AssessedRelations();
@@ -512,135 +566,21 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
       if (need) recompute.insert(name);
     }
   }
-  for (const std::string& name : names) {
-    if (prev_index.find(name) == prev_index.end()) recompute.insert(name);
-  }
-
-  struct RelationOutcome {
-    Status hard_error;
-    bool computed = false;
-    Status failure;
-    int attempts = 0;
-    std::optional<QualityMeasures> measures;
-    std::optional<Relation> quality;
-    std::optional<Relation> dirty;
-  };
-  std::vector<RelationOutcome> outcomes(names.size());
-
-  // Identical fault-isolation scheme to Assess, reading the session's
-  // database (the updated one) and materialized instance.
-  auto assess_one = [&](const std::string& name, RelationOutcome* out) {
-    Result<const Relation*> orig = session.database().GetRelation(name);
-    if (!orig.ok()) {
-      out->hard_error = orig.status();
-      return;
-    }
-    const Relation* original = *orig;
-    Status failure;
-    double scale = 1.0;
-    for (int attempt = 0; attempt <= opts.max_retries;
-         ++attempt, scale *= opts.escalation_factor) {
-      ++out->attempts;
-      ExecutionBudget rb;
-      if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
-      if (opts.fault_injector != nullptr) {
-        rb.set_fault_injector(opts.fault_injector);
-      }
-      if (opts.per_relation_max_facts > 0) {
-        rb.set_max_facts(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_facts) * scale));
-      }
-      if (opts.per_relation_max_steps > 0) {
-        rb.set_max_steps(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_steps) * scale));
-      }
-      failure = rb.CheckNow("assessor:relation");
-      if (failure.ok()) {
-        Status interruption;
-        Result<Relation> r = session.QualityVersion(name, &rb, &interruption);
-        if (r.ok() && interruption.ok()) {
-          out->quality = std::move(r).value();
-          out->computed = true;
-          break;
-        }
-        failure = r.ok() ? std::move(interruption) : r.status();
-      }
-      if (!ExecutionBudget::IsTruncation(failure)) break;
-      if (failure.code() == StatusCode::kCancelled) break;
-    }
-    if (!out->computed) {
-      out->failure = std::move(failure);
-      return;
-    }
-    Result<QualityMeasures> m = Measure(*original, *out->quality);
-    if (!m.ok()) {
-      out->hard_error = m.status();
-      return;
-    }
-    Result<Relation> dirty = original->Minus(*out->quality);
-    if (!dirty.ok()) {
-      out->hard_error = dirty.status();
-      return;
-    }
-    out->measures = std::move(*m);
-    out->dirty = std::move(*dirty);
-  };
-
-  std::vector<size_t> todo;
+  std::vector<int> carried(names.size(), -1);
   for (size_t i = 0; i < names.size(); ++i) {
-    if (recompute.count(names[i]) > 0) todo.push_back(i);
-  }
-  const bool parallel = opts.pool != nullptr && todo.size() > 1;
-  if (parallel) {
-    opts.pool->ParallelFor(
-        todo.size(), [&](size_t k) {
-          assess_one(names[todo[k]], &outcomes[todo[k]]);
-        });
+    auto it = prev_index.find(names[i]);
+    if (it != prev_index.end() && recompute.count(names[i]) == 0) {
+      carried[i] = static_cast<int>(it->second);
+    }
   }
 
-  size_t total_original = 0;
-  size_t total_common = 0;
-  Status cancelled;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (recompute.count(names[i]) == 0) {
-      // Untouched by the update: copy the previous entry verbatim.
-      const size_t p = prev_index.at(names[i]);
-      total_original += previous.per_relation[p].original_size;
-      total_common += previous.per_relation[p].common;
-      report.per_relation.push_back(previous.per_relation[p]);
-      report.quality_versions.push_back(previous.quality_versions[p]);
-      report.dirty_tuples.push_back(previous.dirty_tuples[p]);
-      continue;
-    }
-    RelationOutcome& out = outcomes[i];
-    if (!cancelled.ok()) {
-      if (!parallel || !out.computed) {
-        report.degraded.push_back(RelationFailure{names[i], cancelled, 0});
-        continue;
-      }
-    } else if (!parallel) {
-      assess_one(names[i], &out);
-    }
-    MDQA_RETURN_IF_ERROR(out.hard_error);
-    if (!out.computed) {
-      note_truncated(out.failure);
-      if (out.failure.code() == StatusCode::kCancelled) {
-        cancelled = out.failure;
-      }
-      report.degraded.push_back(
-          RelationFailure{names[i], std::move(out.failure), out.attempts});
-      continue;
-    }
-    total_original += out.measures->original_size;
-    total_common += out.measures->common;
-    report.per_relation.push_back(std::move(*out.measures));
-    report.quality_versions.push_back(std::move(*out.quality));
-    report.dirty_tuples.push_back(std::move(*out.dirty));
-  }
-  report.overall_precision =
-      total_original == 0 ? 1.0
-                          : static_cast<double>(total_common) /
-                                static_cast<double>(total_original);
+  MDQA_RETURN_IF_ERROR(AssessRelations(
+      names, carried, &previous, session.database(),
+      [&session](const std::string& name, ExecutionBudget* budget,
+                 Status* interruption) {
+        return session.QualityVersion(name, budget, interruption);
+      },
+      /*parallel_ok=*/true, opts, &report));
   return report;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MDQA_QUALITY_ASSESSOR_H_
 #define MDQA_QUALITY_ASSESSOR_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,6 +156,30 @@ struct AssessOptions {
   datalog::StorageMode storage = datalog::StorageMode::kColumnar;
 };
 
+/// The context-only part of the assessor's pre-run gate: what it checks
+/// that does not depend on the database's rows. In the paper the context
+/// stays fixed while the instance mapped into it changes, so `Assess`
+/// checks this once and every session `ApplyUpdate` derives from its
+/// session reuses it (`Reassess`) for as long as the key matches.
+struct AssessmentGate {
+  // --- key: the rules are fixed per session lineage; these are the
+  // other inputs of the checks below ---
+  uint64_t ontology_version = 0;  ///< core::MdOntology::version()
+  std::vector<std::string> goal_predicates;  ///< the quality predicates
+  /// Predicates holding at least one extensional fact (sorted) — the
+  /// only fact-dependent input of lint.
+  std::vector<uint32_t> fact_predicates;
+  bool linted = false;  ///< the lint fields below were computed
+
+  // --- carried results ---
+  std::string program_class;
+  bool egds_separable = false;
+  Status referential_check;
+  size_t lint_errors = 0;
+  size_t lint_warnings = 0;
+  std::string lint_text;
+};
+
 /// Drives the Fig. 2 pipeline end to end: validates the ontology, runs
 /// constraint checks, computes every registered quality version, and
 /// measures each original relation against it.
@@ -191,12 +216,30 @@ class Assessor {
   /// every relation (a null merge can ripple into any predicate). The
   /// report renders byte-identically to a full assessment of the updated
   /// database. Always reads the session's materialized instance (chase
-  /// engine), whatever `options.engine` says.
+  /// engine), whatever `options.engine` says. The context-only part of
+  /// the pre-run gate (AssessmentGate) is reused from the session's
+  /// lineage while its key matches, so an insert batch re-runs no lint
+  /// and no referential check.
   Result<AssessmentReport> Reassess(
       const PreparedContext& session, const AssessmentReport& previous,
       const AssessOptions& options = AssessOptions()) const;
 
  private:
+  /// The pre-run gate shared by Assess and Reassess: fills the report's
+  /// program class, engine choice, predicted cost, lint findings and
+  /// referential check, and refuses (kFailedPrecondition) on lint errors
+  /// unless `lint_warn_only`. The context-only part comes from `*gate`
+  /// when its key matches and is recomputed into `*gate` otherwise;
+  /// engine selection always runs, since its costs price `edb_stats`.
+  /// `chase_only` pins the engine used to the chase (Reassess).
+  Status RunGate(const datalog::Program& program,
+                 const datalog::ProgramAnalysis& program_analysis,
+                 const datalog::InstanceStatistics& edb_stats,
+                 const std::vector<std::string>& quality_preds,
+                 const AssessOptions& options, bool chase_only,
+                 std::shared_ptr<const AssessmentGate>* gate,
+                 AssessmentReport* report) const;
+
   const QualityContext* context_;
 };
 

@@ -4,7 +4,6 @@
 #include <optional>
 #include <unordered_set>
 
-#include "analysis/cost_model.h"
 #include "datalog/chase.h"
 #include "datalog/parser.h"
 #include "datalog/provenance.h"
@@ -19,6 +18,55 @@ using datalog::Program;
 using datalog::Rule;
 using datalog::Term;
 using datalog::Vocabulary;
+
+namespace {
+
+// Brings the `touched` entries of `edb` — statistics of `program`'s
+// extensional facts, as CostModel::CollectEdbStats counts them — up to
+// date without building an EDB instance. A predicate no TGD derives holds
+// exactly its extensional facts in the chased instance, so its entry is
+// read off `chased` (that instance's table statistics, maintained on
+// insert); a TGD head predicate mixes in derived facts and is recounted
+// from the program's facts. Predicates left without facts lose their
+// entry, as they have no table in a freshly built EDB.
+void RefreshEdbStatistics(const Program& program,
+                          const datalog::ProgramAnalysis& analysis,
+                          const datalog::InstanceStatistics& chased,
+                          const std::unordered_set<uint32_t>& touched,
+                          datalog::InstanceStatistics* edb) {
+  std::unordered_set<uint32_t> derived;
+  for (const Rule& tgd : analysis.tgds()) {
+    for (const Atom& h : tgd.head) {
+      if (touched.count(h.predicate) > 0) derived.insert(h.predicate);
+    }
+  }
+  datalog::InstanceStatistics recounted;
+  if (!derived.empty()) {
+    datalog::Instance facts(program.vocab());
+    for (const Atom& f : program.facts()) {
+      if (derived.count(f.predicate) > 0) facts.AddFact(f, /*level=*/0);
+    }
+    recounted = facts.CollectStatistics();
+  }
+  for (uint32_t pred : touched) {
+    const datalog::InstanceStatistics& source =
+        derived.count(pred) > 0 ? recounted : chased;
+    auto it = source.tables.find(pred);
+    if (it == source.tables.end() || it->second.rows == 0) {
+      edb->tables.erase(pred);
+    } else {
+      edb->tables[pred] = it->second;
+    }
+  }
+  edb->total_facts = 0;
+  edb->max_rows = 0;
+  for (const auto& [pred, t] : edb->tables) {
+    edb->total_facts += t.rows;
+    edb->max_rows = std::max(edb->max_rows, t.rows);
+  }
+}
+
+}  // namespace
 
 QualityContext::QualityContext(std::shared_ptr<core::MdOntology> ontology)
     : ontology_(std::move(ontology)) {}
@@ -314,9 +362,10 @@ Result<PreparedContext> QualityContext::Prepare(
 
 Result<PreparedContext> QualityContext::Prepare(
     const datalog::ChaseOptions& options, Program program,
-    std::shared_ptr<const datalog::ProgramAnalysis> analysis) const {
+    std::shared_ptr<const datalog::ProgramAnalysis> analysis,
+    std::optional<datalog::Instance> edb) const {
   return FinishPrepare(options, std::move(program), std::move(analysis),
-                       /*rebuild=*/nullptr);
+                       /*rebuild=*/nullptr, std::move(edb));
 }
 
 Result<PreparedContext> QualityContext::PrepareRestored(
@@ -325,13 +374,14 @@ Result<PreparedContext> QualityContext::PrepareRestored(
   MDQA_ASSIGN_OR_RETURN(Program program, BuildProgram());
   auto analysis = std::make_shared<const datalog::ProgramAnalysis>(program);
   return FinishPrepare(options, std::move(program), std::move(analysis),
-                       &rebuild);
+                       &rebuild, /*edb=*/std::nullopt);
 }
 
 Result<PreparedContext> QualityContext::FinishPrepare(
     const datalog::ChaseOptions& options, Program program,
     std::shared_ptr<const datalog::ProgramAnalysis> analysis,
-    const MaterializationRebuilder* rebuild) const {
+    const MaterializationRebuilder* rebuild,
+    std::optional<datalog::Instance> edb) const {
   // Thread the ontology's separability verdict into the chase options so
   // a later ApplyUpdate can maintain EGD programs incrementally when the
   // paper's §III sufficient condition holds, and the shared program
@@ -363,9 +413,15 @@ Result<PreparedContext> QualityContext::FinishPrepare(
     queries.emplace(original, std::move(query));
   }
   std::optional<qa::ChaseQa> chased;
+  datalog::InstanceStatistics edb_statistics;
   if (rebuild == nullptr) {
-    MDQA_ASSIGN_OR_RETURN(qa::ChaseQa created,
-                          qa::ChaseQa::Create(program, chase_options));
+    if (!edb.has_value()) {
+      edb.emplace(datalog::Instance::FromProgram(program, options.storage));
+    }
+    edb_statistics = edb->CollectStatistics();
+    MDQA_ASSIGN_OR_RETURN(
+        qa::ChaseQa created,
+        qa::ChaseQa::Create(program, chase_options, std::move(*edb)));
     chased.emplace(std::move(created));
   } else {
     // Checkpoint restore: the instance was rebuilt from a persisted image
@@ -382,6 +438,17 @@ Result<PreparedContext> QualityContext::FinishPrepare(
                       std::move(*chased));
   out.analysis_ = std::move(analysis);
   out.statistics_ = out.instance().CollectStatistics();
+  if (rebuild == nullptr) {
+    out.edb_statistics_ = std::move(edb_statistics);
+  } else {
+    // A restored instance holds every extensional fact: seed the
+    // statistics from it by the rule ApplyUpdate carries them forward
+    // with, over every predicate it has a table for.
+    std::unordered_set<uint32_t> preds;
+    for (const auto& [pred, _] : out.statistics_.tables) preds.insert(pred);
+    RefreshEdbStatistics(out.program(), *out.analysis_, out.statistics_,
+                         preds, &out.edb_statistics_);
+  }
   return out;
 }
 
@@ -394,21 +461,6 @@ std::vector<std::string> DeltaBatch::Relations() const {
   return out;
 }
 
-const datalog::InstanceStatistics& PreparedContext::EdbStatistics() const {
-  std::lock_guard<std::mutex> lock(edb_stats_.mu);
-  const uint64_t generation = program().generation();
-  if (!edb_stats_.valid || edb_stats_.generation != generation) {
-    edb_stats_.stats = analysis::CostModel::CollectEdbStats(program());
-    edb_stats_.generation = generation;
-    edb_stats_.valid = true;
-  }
-  // Safe to hand out by reference: the entry is only invalidated by a
-  // program mutation, and a session's program is immutable once the
-  // session is constructed (ApplyUpdate mutates its private copy before
-  // returning it).
-  return edb_stats_.stats;
-}
-
 Result<PreparedContext> PreparedContext::ApplyUpdate(
     const DeltaBatch& batch) const {
   // The copy shares every fact table with this session (copy-on-write
@@ -418,11 +470,13 @@ Result<PreparedContext> PreparedContext::ApplyUpdate(
   Vocabulary* vocab = next.program().vocab().get();
   std::vector<Atom> inserts;
   std::vector<Atom> deletes;
+  std::unordered_set<uint32_t> touched;
   for (const RelationDelta& d : batch.deltas) {
     MDQA_ASSIGN_OR_RETURN(Relation * rel,
                           next.database_.GetMutableRelation(d.relation));
     MDQA_ASSIGN_OR_RETURN(uint32_t pred,
                           vocab->InternPredicate(d.relation, rel->arity()));
+    touched.insert(pred);
     if (!d.delete_rows.empty()) {
       std::unordered_set<Tuple, TupleHash> del;
       for (const Tuple& row : d.delete_rows) {
@@ -457,6 +511,8 @@ Result<PreparedContext> PreparedContext::ApplyUpdate(
   // New snapshot, new statistics — collected here, once, so concurrent
   // readers of the session never race on a lazily filled cache.
   next.statistics_ = next.instance().CollectStatistics();
+  RefreshEdbStatistics(next.program(), *next.analysis_, next.statistics_,
+                       touched, &next.edb_statistics_);
   return next;
 }
 

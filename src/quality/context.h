@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 
 namespace mdqa::quality {
 
+class Assessor;
+struct AssessmentGate;
 class PreparedContext;
 
 /// An externally rebuilt materialization, produced by the checkpoint
@@ -169,10 +172,14 @@ class QualityContext {
   /// program (the assessor's pre-run gate) don't build either twice. The
   /// analysis is threaded into `ChaseOptions::analysis` (narrowing the
   /// incremental-extension fallbacks of later `ApplyUpdate`s) and kept
-  /// alive by the returned session.
+  /// alive by the returned session. A non-empty `edb` must be
+  /// `Instance::FromProgram(program, options.storage)`: a caller that
+  /// already built it to read its statistics hands it over to be chased
+  /// instead of having it built twice.
   Result<PreparedContext> Prepare(
       const datalog::ChaseOptions& options, datalog::Program program,
-      std::shared_ptr<const datalog::ProgramAnalysis> analysis) const;
+      std::shared_ptr<const datalog::ProgramAnalysis> analysis,
+      std::optional<datalog::Instance> edb = std::nullopt) const;
 
   /// `Prepare` without the chase: builds the contextual program and all
   /// session plumbing (pre-bound S^q queries, shared analysis,
@@ -191,13 +198,14 @@ class QualityContext {
   friend class PreparedContext;
 
   /// Shared tail of Prepare/PrepareRestored: everything after the program
-  /// is built. `rebuild == nullptr` runs the chase (`ChaseQa::Create`);
-  /// otherwise the materialization comes from the callback
-  /// (`ChaseQa::Adopt`).
+  /// is built. `rebuild == nullptr` runs the chase (`ChaseQa::Create`,
+  /// over `edb` when given); otherwise the materialization comes from the
+  /// callback (`ChaseQa::Adopt`).
   Result<PreparedContext> FinishPrepare(
       const datalog::ChaseOptions& options, datalog::Program program,
       std::shared_ptr<const datalog::ProgramAnalysis> analysis,
-      const MaterializationRebuilder* rebuild) const;
+      const MaterializationRebuilder* rebuild,
+      std::optional<datalog::Instance> edb) const;
 
   std::shared_ptr<core::MdOntology> ontology_;
   Database database_;
@@ -325,19 +333,22 @@ class PreparedContext {
   }
 
   /// Statistics of the session program's *extensional* facts (the EDB
-  /// the cost model prices engines against), computed lazily on first
-  /// use and cached keyed on `Program::generation()` — `ApplyUpdate`
-  /// hands the derived session a mutated fact list, whose bumped
-  /// generation (plus the cache resetting on session copy) invalidates
-  /// the cache. Thread-safe; `Assessor::Reassess` calls this instead of
-  /// recomputing per reassessment.
-  const datalog::InstanceStatistics& EdbStatistics() const;
+  /// the cost model prices engines against): always equal to
+  /// `CostModel::CollectEdbStats(program())`, without building an EDB.
+  /// `Prepare` takes them from the EDB instance it chases and
+  /// `PrepareRestored` from the restored instance; `ApplyUpdate` carries
+  /// them forward, refreshing only the relations the batch touched (see
+  /// docs/incremental.md for the rule).
+  const datalog::InstanceStatistics& EdbStatistics() const {
+    return edb_statistics_;
+  }
 
   /// The database as this session sees it (after any applied updates).
   const Database& database() const { return database_; }
 
  private:
   friend class QualityContext;
+  friend class Assessor;
   PreparedContext(std::map<std::string, std::string> quality_of,
                   std::map<std::string, datalog::ConjunctiveQuery> queries,
                   Database database, qa::ChaseQa chased)
@@ -360,26 +371,19 @@ class PreparedContext {
   /// keeps it alive for the session and all sessions derived from it.
   std::shared_ptr<const datalog::ProgramAnalysis> analysis_;
   datalog::InstanceStatistics statistics_;
+  datalog::InstanceStatistics edb_statistics_;
   std::vector<std::string> updated_relations_;  // set by ApplyUpdate
 
-  /// Lazy EDB-statistics cache behind EdbStatistics(). Copying a session
-  /// (ApplyUpdate's starting point) RESETS the cache rather than copying
-  /// it: a rebuilt program (the deletion path constructs one from
-  /// scratch) can coincidentally land on the parent's generation value
-  /// with a different fact list, so inherited entries are never safe.
-  struct EdbStatsCache {
+  /// The assessor's pre-run gate, last computed over this session's
+  /// lineage: one slot shared by the prepared session and every session
+  /// `ApplyUpdate` derives from it (copies share the pointer), read and
+  /// replaced only by `Assessor`, which checks the gate's key against the
+  /// session before reusing it.
+  struct GateSlot {
     std::mutex mu;
-    bool valid = false;
-    uint64_t generation = 0;
-    datalog::InstanceStatistics stats;
-    EdbStatsCache() = default;
-    EdbStatsCache(const EdbStatsCache&) {}  // fresh, invalid cache
-    EdbStatsCache& operator=(const EdbStatsCache&) {
-      valid = false;
-      return *this;
-    }
+    std::shared_ptr<const AssessmentGate> gate;
   };
-  mutable EdbStatsCache edb_stats_;
+  std::shared_ptr<GateSlot> gate_slot_ = std::make_shared<GateSlot>();
 };
 
 }  // namespace mdqa::quality

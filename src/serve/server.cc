@@ -981,56 +981,56 @@ void AssessmentServer::WriterLoop() {
     }
 
     auto snap = Pin();
-    Result<uint64_t> outcome = Status::Internal("unreached");
-    {
-      // Update application mutates the shared vocabulary (new constants,
-      // fresh nulls): exclusive access, deliberately handed to this
-      // thread. Readers keep serving the old snapshot meanwhile — only
-      // parse/render waits.
-      WriterMutexLock lock(&vocab_mu_);
-      snap->session->program().vocab()->BindToCurrentThread();
-      auto next = snap->session->ApplyUpdate(job.batch);
-      if (!next.ok()) {
-        outcome = next.status();
-      } else {
-        quality::Assessor assessor(&context_);
-        auto report = assessor.Reassess(*next, *snap->report);
-        // The WAL append (fsync) is the commit point: a batch that cannot
-        // be made durable fails the request and never publishes — a
-        // client ack must survive a crash.
-        Status logged =
-            report.ok() && options_.store != nullptr
-                ? options_.store->AppendBatch(job.batch, snap->generation + 1)
-                : Status::Ok();
-        if (report.ok() && options_.store != nullptr && logged.ok()) {
-          metrics_.wal_appends.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!report.ok()) {
-          outcome = report.status();
-        } else if (!logged.ok()) {
-          outcome = logged;
-        } else {
-          const bool fallback = next->chase_stats().extend_fallback;
-          auto ns = std::make_shared<Snapshot>();
-          ns->generation = snap->generation + 1;
-          ns->session =
-              std::make_shared<const PreparedContext>(std::move(*next));
-          ns->report_json = report->ToJson();
-          ns->report = std::make_shared<const quality::AssessmentReport>(
-              std::move(*report));
-          const uint64_t gen = ns->generation;
-          Publish(std::move(ns));
-          metrics_.updates_applied.fetch_add(1, std::memory_order_relaxed);
-          if (fallback) {
-            metrics_.update_fallbacks.fetch_add(1,
-                                                std::memory_order_relaxed);
-          }
-          outcome = gen;
-        }
-      }
-    }
-    job.done.set_value(std::move(outcome));
+    job.done.set_value(Commit(*snap, job.batch));
   }
+}
+
+Result<uint64_t> AssessmentServer::Commit(const Snapshot& snap,
+                                          const DeltaBatch& batch) {
+  std::optional<PreparedContext> next;
+  {
+    // Update application is the one step that mutates the shared
+    // vocabulary (new constants, fresh nulls): exclusive access,
+    // deliberately handed to this thread. Readers keep serving the old
+    // snapshot meanwhile — only query parsing waits.
+    WriterMutexLock lock(&vocab_mu_);
+    snap.session->program().vocab()->BindToCurrentThread();
+    MDQA_ASSIGN_OR_RETURN(PreparedContext applied,
+                          snap.session->ApplyUpdate(batch));
+    next.emplace(std::move(applied));
+  }
+  Result<quality::AssessmentReport> report = Status::Internal("unreached");
+  {
+    // Reassess only reads the vocabulary (predicate lookups, and names
+    // when the gate is re-linted): the shared side, alongside readers.
+    ReaderMutexLock lock(&vocab_mu_);
+    quality::Assessor assessor(&context_);
+    report = assessor.Reassess(*next, *snap.report);
+  }
+  MDQA_RETURN_IF_ERROR(report.status());
+  // The WAL append (fsync) is the commit point: a batch that cannot be
+  // made durable fails the request and never publishes — a client ack
+  // must survive a crash. Neither it nor the render below touches the
+  // vocabulary, so both run without the lock.
+  if (options_.store != nullptr) {
+    MDQA_RETURN_IF_ERROR(
+        options_.store->AppendBatch(batch, snap.generation + 1));
+    metrics_.wal_appends.fetch_add(1, std::memory_order_relaxed);
+  }
+  const bool fallback = next->chase_stats().extend_fallback;
+  auto ns = std::make_shared<Snapshot>();
+  ns->generation = snap.generation + 1;
+  ns->session = std::make_shared<const PreparedContext>(std::move(*next));
+  ns->report_json = report->ToJson();
+  ns->report =
+      std::make_shared<const quality::AssessmentReport>(std::move(*report));
+  const uint64_t gen = ns->generation;
+  Publish(std::move(ns));
+  metrics_.updates_applied.fetch_add(1, std::memory_order_relaxed);
+  if (fallback) {
+    metrics_.update_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  }
+  return gen;
 }
 
 void AssessmentServer::WatchdogLoop() {

@@ -106,9 +106,12 @@ struct ServerOptions {
 /// Concurrency model (docs/robustness.md has the full failure model):
 ///  - Readers pin the current snapshot (shared_ptr) and serve entirely
 ///    from it — a response can never observe two generations (torn read).
-///  - The shared Vocabulary is single-mutator: query parsing and update
-///    application take the write side of `vocab_mu_`; evaluation and
-///    answer rendering take the read side.
+///  - The shared Vocabulary is single-mutator: query parsing and
+///    `ApplyUpdate` take the write side of `vocab_mu_`; evaluation,
+///    answer rendering and the writer's `Reassess` take the read side.
+///    The writer's WAL append (the commit point, fsync'd) and report
+///    render hold no vocabulary lock, so queries are parsed and answered
+///    from the old generation while a batch is being made durable.
 ///  - Admission: per-tenant token buckets (429 + Retry-After on refusal),
 ///    then a bounded connection queue (shed when full), then a per-request
 ///    `ExecutionBudget` slice cut from the tenant quota.
@@ -197,8 +200,9 @@ class AssessmentServer {
     uint64_t generation = 0;
     std::shared_ptr<const quality::PreparedContext> session;
     std::shared_ptr<const quality::AssessmentReport> report;
-    /// Rendered once at publish (on the writer, under the vocab write
-    /// lock), so /report and /assess never touch the vocabulary.
+    /// Rendered once at publish (on the writer; the report holds values,
+    /// not vocabulary terms), so /report and /assess never touch the
+    /// vocabulary.
     std::string report_json;
   };
 
@@ -229,6 +233,10 @@ class AssessmentServer {
   void AcceptLoop();
   void WorkerLoop(size_t worker_index);
   void WriterLoop();
+  /// One batch on the writer thread: ApplyUpdate, Reassess, the WAL
+  /// append, then Publish. Returns the new generation.
+  Result<uint64_t> Commit(const Snapshot& snap,
+                          const quality::DeltaBatch& batch);
   void WatchdogLoop();
 
   void HandleConnection(net::Socket sock, RequestSlot* slot);

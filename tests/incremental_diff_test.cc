@@ -17,10 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "analysis/cost_model.h"
 #include "base/thread_pool.h"
 #include "datalog/chase.h"
 #include "datalog/instance.h"
@@ -30,6 +33,8 @@
 #include "quality/assessor.h"
 #include "scenarios/hospital.h"
 #include "scenarios/synthetic.h"
+#include "storage/session_image.h"
+#include "testgen/scenario.h"
 
 namespace mdqa {
 namespace {
@@ -489,6 +494,277 @@ TEST(QualityUpdateDiffSkip, SessionsBranchIndependently) {
   EXPECT_GT(left->instance().TotalFacts(), base_facts);
   EXPECT_GT(right->instance().TotalFacts(), base_facts);
   EXPECT_NE(left->instance().ToString(), right->instance().ToString());
+}
+
+// --- Carried state: what ApplyUpdate and Reassess carry across batches ---
+
+// The carried EDB statistics against a from-scratch count of the
+// session program's facts, field by field so a divergence names its
+// predicate.
+void ExpectEdbStatsMatchRebuild(const quality::PreparedContext& session,
+                                const std::string& where) {
+  const datalog::InstanceStatistics& carried = session.EdbStatistics();
+  const datalog::InstanceStatistics rebuilt =
+      analysis::CostModel::CollectEdbStats(session.program());
+  EXPECT_EQ(carried.total_facts, rebuilt.total_facts) << where;
+  EXPECT_EQ(carried.max_rows, rebuilt.max_rows) << where;
+  EXPECT_EQ(carried.tables.size(), rebuilt.tables.size()) << where;
+  const datalog::Vocabulary& vocab = *session.program().vocab();
+  for (const auto& [pred, table] : rebuilt.tables) {
+    auto it = carried.tables.find(pred);
+    ASSERT_NE(it, carried.tables.end())
+        << where << ": no entry for " << vocab.PredicateName(pred);
+    EXPECT_EQ(it->second.rows, table.rows)
+        << where << ": rows of " << vocab.PredicateName(pred);
+    EXPECT_EQ(it->second.distinct, table.distinct)
+        << where << ": distinct counts of " << vocab.PredicateName(pred);
+  }
+}
+
+// A batch deleting every row `session` holds for `relation`.
+quality::DeltaBatch DeleteAllRows(const quality::PreparedContext& session,
+                                  const std::string& relation) {
+  quality::RelationDelta delta;
+  delta.relation = relation;
+  const Relation rows = CopyRelation(session.database(), relation);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    delta.delete_rows.push_back(rows.row(i));
+  }
+  quality::DeltaBatch batch;
+  batch.deltas.push_back(std::move(delta));
+  return batch;
+}
+
+TEST(CarriedEdbStats, MatchRebuildAlongEveryFamilyStream) {
+  for (testgen::ScenarioFamily family : testgen::kAllScenarioFamilies) {
+    for (uint32_t seed : {1u, 2u}) {
+      const std::string tag =
+          std::string(testgen::ScenarioFamilyToString(family)) + "/s" +
+          std::to_string(seed);
+      const testgen::ScenarioSpec spec = testgen::SpecFor(family, seed);
+      auto scenario = testgen::ScenarioGenerator::Generate(spec);
+      ASSERT_TRUE(scenario.ok()) << scenario.status();
+      std::optional<quality::PreparedContext> session;
+      auto report = quality::Assessor(&scenario->context)
+                        .Assess(quality::AssessOptions{}, &session);
+      ASSERT_TRUE(report.ok()) << report.status();
+      ASSERT_TRUE(session.has_value()) << tag;
+      ExpectEdbStatsMatchRebuild(*session, tag + " gen 0");
+
+      // The stream's inserts and its closing deletion (the recorded
+      // full-re-chase path), then a batch emptying the relation.
+      std::vector<quality::DeltaBatch> batches;
+      for (const testgen::ScenarioUpdate& u : scenario->updates) {
+        batches.push_back(u.batch);
+      }
+      for (size_t b = 0; b <= batches.size(); ++b) {
+        const quality::DeltaBatch batch =
+            b < batches.size() ? batches[b]
+                               : DeleteAllRows(*session, scenario->relation);
+        auto next = session->ApplyUpdate(batch);
+        ASSERT_TRUE(next.ok()) << tag << ": " << next.status();
+        session.emplace(std::move(*next));
+        ExpectEdbStatsMatchRebuild(*session,
+                                   tag + " gen " + std::to_string(b + 1));
+      }
+      const uint32_t emptied =
+          session->program().vocab()->FindPredicate(scenario->relation);
+      EXPECT_EQ(session->EdbStatistics().tables.count(emptied), 0u) << tag;
+
+      // A restored session seeds its statistics by the same rule.
+      auto image = storage::CaptureSessionImage(
+          *session, batches.size() + 2, batches.size() + 1, tag);
+      ASSERT_TRUE(image.ok()) << image.status();
+      auto shared = std::make_shared<const storage::KbImage>(
+          std::move(*image));
+      auto fresh = testgen::ScenarioGenerator::Generate(spec);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      auto db = storage::DatabaseFromImage(*shared);
+      ASSERT_TRUE(db.ok()) << db.status();
+      ASSERT_TRUE(fresh->context.ReplaceDatabase(std::move(*db)).ok());
+      auto restored = fresh->context.PrepareRestored(
+          ChaseOptions{}, storage::ImageRebuilder(shared));
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      ExpectEdbStatsMatchRebuild(*restored, tag + " restored");
+    }
+  }
+}
+
+// Hospital + Audit, with a second database relation AuditFeed feeding
+// Audit through a rule: Audit is both an original relation and a rule
+// head, so its chased table mixes extensional and derived facts.
+Result<quality::QualityContext> BuildFedAuditContext(Database patch) {
+  scenarios::HospitalOptions options;
+  options.include_constraints = false;
+  MDQA_ASSIGN_OR_RETURN(quality::QualityContext context,
+                        scenarios::BuildHospitalContext(options));
+  AddAuditRelation(&context);
+  Database feed;
+  MDQA_ASSIGN_OR_RETURN(
+      RelationSchema schema,
+      RelationSchema::Create("AuditFeed", std::vector<std::string>{"Id"}));
+  MDQA_RETURN_IF_ERROR(feed.AddRelation(std::move(schema)));
+  MDQA_RETURN_IF_ERROR(feed.InsertText("AuditFeed", {"f1"}));
+  MDQA_RETURN_IF_ERROR(context.SetDatabase(std::move(feed)));
+  MDQA_RETURN_IF_ERROR(context.AddContextualRules("Audit(X) :- AuditFeed(X)."));
+  MDQA_RETURN_IF_ERROR(context.SetDatabase(std::move(patch)));
+  return context;
+}
+
+TEST(CarriedEdbStats, DatabaseRelationThatIsAlsoARuleHead) {
+  auto context = BuildFedAuditContext(Database());
+  ASSERT_TRUE(context.ok()) << context.status();
+  quality::Assessor assessor(&*context);
+  std::optional<quality::PreparedContext> session;
+  auto report = assessor.Assess(quality::AssessOptions{}, &session);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(session.has_value());
+  ExpectEdbStatsMatchRebuild(*session, "prepared");
+
+  auto insert = [](const char* relation, const char* id) {
+    quality::RelationDelta delta;
+    delta.relation = relation;
+    delta.insert_rows.push_back({Value::Str(id)});
+    quality::DeltaBatch batch;
+    batch.deltas.push_back(std::move(delta));
+    return batch;
+  };
+  const std::vector<std::pair<std::string, quality::DeltaBatch>> steps = {
+      {"insert into the head relation", insert("Audit", "a4")},
+      {"insert into its feed", insert("AuditFeed", "f2")},
+      {"insert a row the feed already derives", insert("Audit", "f1")},
+  };
+  for (const auto& [what, batch] : steps) {
+    auto next = session->ApplyUpdate(batch);
+    ASSERT_TRUE(next.ok()) << what << ": " << next.status();
+    auto rep = assessor.Reassess(*next, *report);
+    ASSERT_TRUE(rep.ok()) << what << ": " << rep.status();
+    session.emplace(std::move(*next));
+    report = std::move(rep);
+    ExpectEdbStatsMatchRebuild(*session, what);
+  }
+
+  // Deleting every extensional Audit row leaves its derived facts in the
+  // chased table, but no entry in the EDB statistics.
+  auto emptied = session->ApplyUpdate(DeleteAllRows(*session, "Audit"));
+  ASSERT_TRUE(emptied.ok()) << emptied.status();
+  EXPECT_TRUE(emptied->chase_stats().extend_fallback);
+  ExpectEdbStatsMatchRebuild(*emptied, "emptied head relation");
+  const uint32_t audit =
+      emptied->program().vocab()->FindPredicate("Audit");
+  EXPECT_EQ(emptied->EdbStatistics().tables.count(audit), 0u);
+  ASSERT_NE(emptied->instance().Table(audit), nullptr);
+  EXPECT_GT(emptied->instance().Table(audit)->size(), 0u);
+
+  // The carried statistics price the engines exactly as a fresh
+  // assessment of the same database does.
+  auto incremental = assessor.Reassess(*emptied, *report);
+  ASSERT_TRUE(incremental.ok()) << incremental.status();
+  Database patch;
+  patch.PutRelation(CopyRelation(emptied->database(), "Audit"));
+  patch.PutRelation(CopyRelation(emptied->database(), "AuditFeed"));
+  auto baseline_context = BuildFedAuditContext(std::move(patch));
+  ASSERT_TRUE(baseline_context.ok()) << baseline_context.status();
+  auto full = quality::Assessor(&*baseline_context).Assess();
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(incremental->ToString(), full->ToString());
+  EXPECT_EQ(incremental->ToJson(), full->ToJson());
+}
+
+TEST(CarriedGate, EmptiedRuleBodyRelationIsRelintedExactly) {
+  scenarios::HospitalOptions options;
+  auto context = scenarios::BuildHospitalContext(options);
+  ASSERT_TRUE(context.ok()) << context.status();
+  AddAuditRelation(&*context);
+  quality::Assessor assessor(&*context);
+  std::optional<quality::PreparedContext> session;
+  auto original = assessor.Assess(quality::AssessOptions{}, &session);
+  ASSERT_TRUE(original.ok()) << original.status();
+  ASSERT_TRUE(session.has_value());
+
+  // Audit feeds the mapping rule `Auditc(X0) :- Audit(X0)`: emptying it
+  // changes which predicates hold facts, so lint must run again.
+  auto emptied = session->ApplyUpdate(DeleteAllRows(*session, "Audit"));
+  ASSERT_TRUE(emptied.ok()) << emptied.status();
+  auto incremental = assessor.Reassess(*emptied, *original);
+  ASSERT_TRUE(incremental.ok()) << incremental.status();
+
+  auto baseline_context = scenarios::BuildHospitalContext(options);
+  ASSERT_TRUE(baseline_context.ok()) << baseline_context.status();
+  AddAuditRelation(&*baseline_context);
+  Database patch;
+  patch.PutRelation(CopyRelation(emptied->database(), "Audit"));
+  ASSERT_TRUE(baseline_context->SetDatabase(std::move(patch)).ok());
+  auto full = quality::Assessor(&*baseline_context).Assess();
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(incremental->ToString(), full->ToString());
+  EXPECT_EQ(incremental->ToJson(), full->ToJson());
+  EXPECT_NE(incremental->lint_text, original->lint_text);
+  EXPECT_NE(incremental->lint_warnings + incremental->lint_errors,
+            original->lint_warnings + original->lint_errors);
+
+  // Refilling the relation restores the original findings.
+  quality::RelationDelta refill;
+  refill.relation = "Audit";
+  for (const char* id : {"a1", "a2", "a3"}) {
+    refill.insert_rows.push_back({Value::Str(id)});
+  }
+  quality::DeltaBatch batch;
+  batch.deltas.push_back(std::move(refill));
+  auto refilled = emptied->ApplyUpdate(batch);
+  ASSERT_TRUE(refilled.ok()) << refilled.status();
+  auto again = assessor.Reassess(*refilled, *incremental);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->lint_text, original->lint_text);
+  EXPECT_EQ(again->lint_errors, original->lint_errors);
+  EXPECT_EQ(again->lint_warnings, original->lint_warnings);
+  EXPECT_EQ(again->ToString(), original->ToString());
+  EXPECT_EQ(again->ToJson(), original->ToJson());
+}
+
+TEST(CarriedGate, OntologyChangedAfterPrepareIsRevalidated) {
+  scenarios::HospitalOptions options;
+  auto ontology = scenarios::BuildHospitalOntology(options);
+  ASSERT_TRUE(ontology.ok()) << ontology.status();
+  quality::QualityContext context(*ontology);
+  AddAuditRelation(&context);
+  quality::Assessor assessor(&context);
+  std::optional<quality::PreparedContext> session;
+  auto report = assessor.Assess(quality::AssessOptions{}, &session);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(session.has_value());
+  ASSERT_TRUE(report->referential_check.ok());
+
+  auto insert_audit = [](const char* id) {
+    quality::RelationDelta delta;
+    delta.relation = "Audit";
+    delta.insert_rows.push_back({Value::Str(id)});
+    quality::DeltaBatch batch;
+    batch.deltas.push_back(std::move(delta));
+    return batch;
+  };
+  auto first = session->ApplyUpdate(insert_audit("a4"));
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto carried = assessor.Reassess(*first, *report);
+  ASSERT_TRUE(carried.ok()) << carried.status();
+  EXPECT_TRUE(carried->referential_check.ok());
+
+  // A categorical relation naming a ward the Hospital dimension lacks.
+  auto stray = md::CategoricalRelation::Create(
+      "StrayWard",
+      {md::CategoricalAttribute::Categorical("Ward", "Hospital", "Ward"),
+       md::CategoricalAttribute::Plain("Note")});
+  ASSERT_TRUE(stray.ok()) << stray.status();
+  ASSERT_TRUE(stray->InsertText({"W99", "dangling"}).ok());
+  ASSERT_TRUE((*ontology)->AddCategoricalRelation(std::move(*stray)).ok());
+  const Status expected = (*ontology)->ValidateReferential();
+  ASSERT_FALSE(expected.ok());
+
+  auto second = first->ApplyUpdate(insert_audit("a5"));
+  ASSERT_TRUE(second.ok()) << second.status();
+  auto revalidated = assessor.Reassess(*second, *carried);
+  ASSERT_TRUE(revalidated.ok()) << revalidated.status();
+  EXPECT_EQ(revalidated->referential_check.ToString(), expected.ToString());
 }
 
 }  // namespace

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "serve/admission.h"
 #include "serve/http.h"
 #include "serve/metrics.h"
+#include "storage/kb_store.h"
 
 namespace mdqa::serve {
 namespace {
@@ -399,6 +403,92 @@ TEST(AssessmentServer, UpdateBumpsGenerationAndChangesAnswers) {
   server->Shutdown();
   Status drained = server->DrainStatus();
   EXPECT_TRUE(drained.ok()) << drained;
+}
+
+/// An in-memory store whose AppendBatch parks until the test opens the
+/// latch — it holds the writer inside its commit point for as long as
+/// the test needs.
+class LatchedStore : public storage::KbStore {
+ public:
+  Result<storage::RecoveredState> Recover() override {
+    return inner_->Recover();
+  }
+  Status WriteCheckpoint(const storage::KbImage& image) override {
+    return inner_->WriteCheckpoint(image);
+  }
+  Status AppendBatch(const quality::DeltaBatch& batch,
+                     uint64_t target_generation) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    return inner_->AppendBatch(batch, target_generation);
+  }
+
+  /// Waits (up to `timeout`) until the writer is parked in AppendBatch.
+  bool WaitParked(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return parked_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::unique_ptr<storage::KbStore> inner_ = storage::NewInMemoryKbStore();
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool open_ = false;
+};
+
+TEST(AssessmentServer, QueriesAreAnsweredWhileTheWriterMakesABatchDurable) {
+  LatchedStore store;
+  ServerOptions options;
+  options.store = &store;
+  options.default_deadline = milliseconds(30000);
+  options.default_quota.max_deadline = milliseconds(30000);
+  auto server = StartHospital(options);
+  const uint16_t port = server->port();
+
+  Result<HttpResponse> update = Status::Internal("not sent");
+  std::thread writer_client([&] {
+    update = Call(port, "POST", "/update",
+                  R"({"relation": "Measurements",)"
+                  R"( "insert": [["Sep/9-23:50", "Nick Cave", "36.9"]]})");
+  });
+  const bool parked = store.WaitParked(milliseconds(20000));
+  EXPECT_TRUE(parked) << "the writer never reached the WAL append";
+
+  // The writer sits in its commit point holding no vocabulary lock: a
+  // query is parsed, answered and rendered from the old generation.
+  Result<HttpResponse> during = Status::Internal("not sent");
+  if (parked) {
+    during = Call(port, "POST", "/query",
+                  R"({"query": "Q(P, V) :- Measurements(T, P, V).",)"
+                  R"( "clean": false})");
+  }
+  store.Open();
+  writer_client.join();
+
+  ASSERT_TRUE(during.ok()) << during.status();
+  ASSERT_EQ(during->status, 200) << during->body;
+  EXPECT_NE(during->body.find("\"generation\":1"), std::string::npos);
+  EXPECT_EQ(during->body.find("Nick Cave"), std::string::npos);
+
+  ASSERT_TRUE(update.ok()) << update.status();
+  ASSERT_EQ(update->status, 200) << update->body;
+  EXPECT_NE(update->body.find("\"generation\":2"), std::string::npos);
+  auto after = Call(port, "POST", "/query",
+                    R"({"query": "Q(P, V) :- Measurements(T, P, V).",)"
+                    R"( "clean": false})");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_NE(after->body.find("Nick Cave"), std::string::npos);
+
+  server->Shutdown();
+  EXPECT_TRUE(server->DrainStatus().ok()) << server->DrainStatus();
 }
 
 TEST(AssessmentServer, DrainRefusesNewUpdatesButHealthzReportsIt) {
